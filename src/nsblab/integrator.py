@@ -167,8 +167,8 @@ def integrate_uniform(initial: TemporalState, v: float, t_end: float,
     """Kernel-backed fast path of :func:`integrate` for the uniform rhs.
 
     Produces the same trajectory as ``integrate(initial, rhs, ...)`` with
-    ``rhs = lambda s: rhs_uniform(s, v)``; dispatch between the numba and
-    numpy backends follows the ``NSB_NUMBA`` flag (see ``kernels``).
+    ``rhs = lambda s: rhs_uniform(s, v)``, up to round-off: the kernel
+    applies the RK4 amplification matrix of the system (see ``kernels``).
     """
     if not math.isfinite(v):
         raise ValueError("potential v must be finite")

@@ -1,48 +1,36 @@
-"""Hot time-stepping kernels, with optional numba acceleration.
+"""Time stepping by one Fourier-space RK4 propagator.
 
-Backend selection: setting the environment variable ``NSB_NUMBA=0`` (or
-``false``/``off``/``no``) forces the pure-numpy path and skips importing
-numba entirely; otherwise numba is used when importable.  Both paths
-implement identical arithmetic and are equivalence-tested; the spectral
-Laplacian path is FFT-bound and always runs through numpy.
+Every system the package steps is linear, has constant coefficients and is
+periodic, so it is diagonal in Fourier space: mode k evolves as y' = A_k y
+with a d x d matrix A_k (d = 2 for the second-order system, 1 in the
+first-order limit; the uniform system is the k = 0 mode).  One classical
+RK4 step of that mode is exactly the matrix polynomial
 
-All kernels integrate with classical fixed-step RK4 and store samples every
-``stride`` steps (plus the initial and final states).  A sample whose
-magnitude is non-finite or above ``BLOWUP_MAGNITUDE`` stops the run; the
-caller turns that into a blow-up error.
+    R(h A) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
+
+so a stride of s steps is R^s (repeated squaring) and each stored sample is
+one multiply of the spectrum.  This is the same discrete scheme as stepping
+in physical space, with RK4's order and stability region, up to round-off
+(see Kassam & Trefethen, SIAM J. Sci. Comput. 26 (2005) 1214).
+
+Samples are stored every ``stride`` steps, plus the initial and final
+states.  The first stored sample whose magnitude is non-finite or at or
+above ``BLOWUP_MAGNITUDE`` ends the returned arrays; the caller turns that
+into a blow-up error.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "NSB_NUMBA"
 BLOWUP_MAGNITUDE = 1e300
 
 # Classical RK4 is stable for |lambda| dt up to about 2.8 on the imaginary
 # axis; every step-size rule in the package derives from this number.
 RK4_IMAGINARY_STABILITY = 2.8
 
-_flag = os.environ.get(ENV_FLAG, "1").strip().lower()
-_requested = _flag not in {"0", "false", "off", "no"}
-
+# There is no compiled path; the constant stays for callers that record it.
 HAVE_NUMBA = False
-if _requested:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via subprocess test
-        HAVE_NUMBA = False
-
-NUMBA_ENABLED = _requested and HAVE_NUMBA
-
-
-def active_backend() -> str:
-    """Name of the dispatch target for stencil stepping: numba or numpy."""
-    return "numba" if NUMBA_ENABLED else "numpy"
 
 
 def sample_steps(n_steps: int, stride: int) -> np.ndarray:
@@ -55,6 +43,21 @@ def sample_steps(n_steps: int, stride: int) -> np.ndarray:
     return np.asarray(steps, dtype=np.int64)
 
 
+def laplacian_eigenvalues(n: int, dx: float, mode: str) -> np.ndarray:
+    """Eigenvalues k_eff^2 of minus the discrete Laplacian, in fft order.
+
+    The stencil operator maps the mode exp(i k xi) to
+    -(2 / dx^2) (1 - cos(k dx)) times itself; the spectral operator is
+    exact (-k^2).
+    """
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+    if mode == "spectral":
+        return k * k
+    if mode == "stencil":
+        return (2.0 / dx**2) * (1.0 - np.cos(k * dx))
+    raise ValueError(f"unknown laplacian mode {mode!r}")
+
+
 def stencil_laplacian(values: np.ndarray, inv_dx2: float) -> np.ndarray:
     """Second-order central-difference Laplacian on a periodic grid."""
     return ((np.roll(values, 1) + np.roll(values, -1)) - 2.0 * values) * inv_dx2
@@ -62,8 +65,7 @@ def stencil_laplacian(values: np.ndarray, inv_dx2: float) -> np.ndarray:
 
 def make_spectral_laplacian(n: int, dx: float):
     """Exact Laplacian (multiplication by -k^2 in Fourier space)."""
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    neg_k2 = -(k * k)
+    neg_k2 = -laplacian_eigenvalues(n, dx, "spectral")
 
     def lap(values: np.ndarray) -> np.ndarray:
         return np.fft.ifft(neg_k2 * np.fft.fft(values))
@@ -71,361 +73,124 @@ def make_spectral_laplacian(n: int, dx: float):
     return lap
 
 
-# --------------------------------------------------------------------------
-# Spatially uniform second-order system: psi' = phi, phi' = 2(v psi - i phi).
-# Single source body; compiled with numba when enabled, else run as-is.
-# --------------------------------------------------------------------------
+def _power(e: np.ndarray, s: int) -> np.ndarray:
+    """(I + e)^s - I by repeated squaring, for a stack of matrices e."""
+    out = np.zeros_like(e)
+    while s:
+        if s & 1:
+            out = out + e + out @ e
+        s >>= 1
+        if s:
+            e = e + e + e @ e
+    return out
 
 
-def _uniform_rk4(out_psi, out_phi, psi0, phi0, v, dt, n_steps, stride):
-    psi = psi0 + 0j
-    phi = phi0 + 0j
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    out_psi[0] = psi
-    out_phi[0] = phi
-    wrote = 1
-    for step in range(n_steps):
-        k1p = phi
-        k1f = 2.0 * (v * psi - 1j * phi)
-        p = psi + half * k1p
-        f = phi + half * k1f
-        k2p = f
-        k2f = 2.0 * (v * p - 1j * f)
-        p = psi + half * k2p
-        f = phi + half * k2f
-        k3p = f
-        k3f = 2.0 * (v * p - 1j * f)
-        p = psi + dt * k3p
-        f = phi + dt * k3f
-        k4p = f
-        k4f = 2.0 * (v * p - 1j * f)
-        psi = psi + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        phi = phi + sixth * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-        s = step + 1
-        if s % stride == 0 or s == n_steps:
-            out_psi[wrote] = psi
-            out_phi[wrote] = phi
-            wrote += 1
-            if not (abs(psi) < BLOWUP_MAGNITUDE and abs(phi) < BLOWUP_MAGNITUDE):
-                return wrote, True
-    return wrote, False
+def _stride_updates(a: np.ndarray, dt: float, n_steps: int, stride: int):
+    """R^stride - I and R^(n_steps % stride) - I, with R = R(dt a).
+
+    ``a`` stacks one matrix per mode, shape (n, d, d); the results have
+    shape (d, d, n).  Each is kept as its difference from I: a step close
+    to the identity then keeps its digits, and a stored sample is
+    y + (R^s - I) y.
+    """
+    z = dt * a
+    e = z / 4.0
+    for j in (3.0, 2.0, 1.0):
+        e = (z + z @ e) / j
+    return tuple(np.ascontiguousarray(np.moveaxis(_power(e, s), 0, -1))
+                 for s in (stride, n_steps % stride))
 
 
-if NUMBA_ENABLED:
-    _uniform_rk4_fast = njit(cache=True)(_uniform_rk4)
-else:
-    _uniform_rk4_fast = _uniform_rk4
+def _truncate(out: np.ndarray, steps: np.ndarray):
+    """Cut ``out`` (components x samples x points) after its first bad row."""
+    # One component at a time, so the temporary is a quarter of ``out``.
+    ok = np.logical_and.reduce([np.abs(c).max(axis=1) < BLOWUP_MAGNITUDE
+                                for c in out])
+    bad = np.flatnonzero(~ok)
+    blow_slot = int(bad[0]) if bad.size else -1
+    rows = len(steps) if blow_slot < 0 else blow_slot + 1
+    return out[0, :rows], out[1, :rows], steps[:rows], blow_slot
 
 
 def run_uniform(psi0, phi0, v, dt, n_steps, stride=1):
     """Integrate the uniform system, returning (psis, phis, steps, blow_slot).
 
-    ``steps`` are the stored step indices (times are steps * dt);
-    ``blow_slot`` is -1 for a clean run, else the index of the first stored
-    sample that blew up (arrays are truncated to what was written).
+    The system is psi' = phi, phi' = 2 (v psi - i phi).  ``steps`` are the
+    stored step indices (times are steps * dt); ``blow_slot`` is -1 for a
+    clean run, else the index of the first stored sample that blew up
+    (arrays are truncated to end there).
     """
     steps = sample_steps(n_steps, stride)
-    out_psi = np.empty(steps.shape[0], dtype=np.complex128)
-    out_phi = np.empty(steps.shape[0], dtype=np.complex128)
-    wrote, blew = _uniform_rk4_fast(
-        out_psi, out_phi, complex(psi0), complex(phi0), float(v), float(dt),
-        int(n_steps), int(stride),
-    )
-    blow_slot = wrote - 1 if blew else -1
-    return out_psi[:wrote], out_phi[:wrote], steps[:wrote], blow_slot
+    a = np.array([[[0.0, 1.0], [2.0 * float(v), -2j]]])
+    out = np.empty((2, len(steps), 1), dtype=np.complex128)
+    psi, phi = complex(psi0), complex(phi0)
+    out[:, 0, 0] = psi, phi
+    with np.errstate(all="ignore"):  # unstable runs overflow; rows are checked
+        updates = _stride_updates(a, float(dt), int(n_steps), int(stride))
+        # Python scalars: a 2x2 product per sample is cheaper than a numpy call.
+        (e00, e01), (e10, e11) = updates[0][..., 0].tolist()
+        for i in range(1, len(steps)):
+            if i == len(steps) - 1 and n_steps % stride:
+                (e00, e01), (e10, e11) = updates[1][..., 0].tolist()
+            psi, phi = (psi + (e00 * psi + e01 * phi),
+                        phi + (e10 * psi + e11 * phi))
+            out[0, i, 0] = psi
+            out[1, i, 0] = phi
+        psis, phis, steps, blow_slot = _truncate(out, steps)
+    return psis[:, 0], phis[:, 0], steps, blow_slot
 
 
-# --------------------------------------------------------------------------
-# Field kernels.  Second order in time ("telegraph"):
-#     psi' = phi,  phi' = (2(v psi - i phi) - a_xx lap psi) / a_tt
-# First order in time (Schrodinger limit, a_tt = 0):
-#     psi' = i ((a_xx / 2) lap psi - v psi)
-# --------------------------------------------------------------------------
+def _run_field(a, initial, dt, n_steps, stride):
+    """Step the spectra of ``initial`` under ``a`` and return the fields.
 
-
-def _check_snapshot(out_psi, out_phi, psi, phi, wrote):
-    out_psi[wrote] = psi
-    if out_phi is not None:
-        out_phi[wrote] = phi
-    m = np.abs(psi).max()
-    if out_phi is not None:
-        m = max(m, np.abs(phi).max())
-    return not (m < BLOWUP_MAGNITUDE)
-
-
-def _telegraph_rk4_numpy(lap, out_psi, out_phi, psi0, phi0, a_xx, inv_a_tt, v,
-                         dt, n_steps, stride):
-    psi = psi0.copy()
-    phi = phi0.copy()
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    out_psi[0] = psi
-    out_phi[0] = phi
-    wrote = 1
-    for step in range(n_steps):
-        k1p = phi
-        k1f = (2.0 * (v * psi - 1j * phi) - a_xx * lap(psi)) * inv_a_tt
-        p = psi + half * k1p
-        f = phi + half * k1f
-        k2p = f
-        k2f = (2.0 * (v * p - 1j * f) - a_xx * lap(p)) * inv_a_tt
-        p = psi + half * k2p
-        f = phi + half * k2f
-        k3p = f
-        k3f = (2.0 * (v * p - 1j * f) - a_xx * lap(p)) * inv_a_tt
-        p = psi + dt * k3p
-        f = phi + dt * k3f
-        k4p = f
-        k4f = (2.0 * (v * p - 1j * f) - a_xx * lap(p)) * inv_a_tt
-        psi = psi + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        phi = phi + sixth * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
-        s = step + 1
-        if s % stride == 0 or s == n_steps:
-            bad = _check_snapshot(out_psi, out_phi, psi, phi, wrote)
-            wrote += 1
-            if bad:
-                return wrote, True
-    return wrote, False
-
-
-def _schrodinger_rk4_numpy(lap, out_psi, psi0, half_a_xx, v, dt, n_steps, stride):
-    psi = psi0.copy()
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    out_psi[0] = psi
-    wrote = 1
-    for step in range(n_steps):
-        k1 = 1j * (half_a_xx * lap(psi) - v * psi)
-        p = psi + half * k1
-        k2 = 1j * (half_a_xx * lap(p) - v * p)
-        p = psi + half * k2
-        k3 = 1j * (half_a_xx * lap(p) - v * p)
-        p = psi + dt * k3
-        k4 = 1j * (half_a_xx * lap(p) - v * p)
-        psi = psi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = step + 1
-        if s % stride == 0 or s == n_steps:
-            bad = _check_snapshot(out_psi, None, psi, None, wrote)
-            wrote += 1
-            if bad:
-                return wrote, True
-    return wrote, False
-
-
-def _telegraph_stencil_loop(out_psi, out_phi, psi0, phi0, a_xx, inv_a_tt, v,
-                            inv_dx2, dt, n_steps, stride):
-    n = psi0.shape[0]
-    psi = psi0.copy()
-    phi = phi0.copy()
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    k1p = np.empty(n, np.complex128)
-    k1f = np.empty(n, np.complex128)
-    k2p = np.empty(n, np.complex128)
-    k2f = np.empty(n, np.complex128)
-    k3p = np.empty(n, np.complex128)
-    k3f = np.empty(n, np.complex128)
-    k4p = np.empty(n, np.complex128)
-    k4f = np.empty(n, np.complex128)
-    p = np.empty(n, np.complex128)
-    f = np.empty(n, np.complex128)
-    for j in range(n):
-        out_psi[0, j] = psi[j]
-        out_phi[0, j] = phi[j]
-    wrote = 1
-    for step in range(n_steps):
-        for j in range(n):
-            jm = n - 1 if j == 0 else j - 1
-            jp = 0 if j == n - 1 else j + 1
-            l = ((psi[jm] + psi[jp]) - 2.0 * psi[j]) * inv_dx2
-            k1p[j] = phi[j]
-            k1f[j] = (2.0 * (v * psi[j] - 1j * phi[j]) - a_xx * l) * inv_a_tt
-        for j in range(n):
-            p[j] = psi[j] + half * k1p[j]
-            f[j] = phi[j] + half * k1f[j]
-        for j in range(n):
-            jm = n - 1 if j == 0 else j - 1
-            jp = 0 if j == n - 1 else j + 1
-            l = ((p[jm] + p[jp]) - 2.0 * p[j]) * inv_dx2
-            k2p[j] = f[j]
-            k2f[j] = (2.0 * (v * p[j] - 1j * f[j]) - a_xx * l) * inv_a_tt
-        for j in range(n):
-            p[j] = psi[j] + half * k2p[j]
-            f[j] = phi[j] + half * k2f[j]
-        for j in range(n):
-            jm = n - 1 if j == 0 else j - 1
-            jp = 0 if j == n - 1 else j + 1
-            l = ((p[jm] + p[jp]) - 2.0 * p[j]) * inv_dx2
-            k3p[j] = f[j]
-            k3f[j] = (2.0 * (v * p[j] - 1j * f[j]) - a_xx * l) * inv_a_tt
-        for j in range(n):
-            p[j] = psi[j] + dt * k3p[j]
-            f[j] = phi[j] + dt * k3f[j]
-        for j in range(n):
-            jm = n - 1 if j == 0 else j - 1
-            jp = 0 if j == n - 1 else j + 1
-            l = ((p[jm] + p[jp]) - 2.0 * p[j]) * inv_dx2
-            k4p[j] = f[j]
-            k4f[j] = (2.0 * (v * p[j] - 1j * f[j]) - a_xx * l) * inv_a_tt
-        for j in range(n):
-            psi[j] = psi[j] + sixth * (k1p[j] + 2.0 * k2p[j] + 2.0 * k3p[j] + k4p[j])
-            phi[j] = phi[j] + sixth * (k1f[j] + 2.0 * k2f[j] + 2.0 * k3f[j] + k4f[j])
-        s = step + 1
-        if s % stride == 0 or s == n_steps:
-            bad = False
-            for j in range(n):
-                out_psi[wrote, j] = psi[j]
-                out_phi[wrote, j] = phi[j]
-                if not (abs(psi[j]) < BLOWUP_MAGNITUDE and abs(phi[j]) < BLOWUP_MAGNITUDE):
-                    bad = True
-            wrote += 1
-            if bad:
-                return wrote, True
-    return wrote, False
-
-
-def _schrodinger_stencil_loop(out_psi, psi0, half_a_xx, v, inv_dx2, dt,
-                              n_steps, stride):
-    n = psi0.shape[0]
-    psi = psi0.copy()
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    k1 = np.empty(n, np.complex128)
-    k2 = np.empty(n, np.complex128)
-    k3 = np.empty(n, np.complex128)
-    k4 = np.empty(n, np.complex128)
-    p = np.empty(n, np.complex128)
-    for j in range(n):
-        out_psi[0, j] = psi[j]
-    wrote = 1
-    for step in range(n_steps):
-        for j in range(n):
-            jm = n - 1 if j == 0 else j - 1
-            jp = 0 if j == n - 1 else j + 1
-            l = ((psi[jm] + psi[jp]) - 2.0 * psi[j]) * inv_dx2
-            k1[j] = 1j * (half_a_xx * l - v * psi[j])
-        for j in range(n):
-            p[j] = psi[j] + half * k1[j]
-        for j in range(n):
-            jm = n - 1 if j == 0 else j - 1
-            jp = 0 if j == n - 1 else j + 1
-            l = ((p[jm] + p[jp]) - 2.0 * p[j]) * inv_dx2
-            k2[j] = 1j * (half_a_xx * l - v * p[j])
-        for j in range(n):
-            p[j] = psi[j] + half * k2[j]
-        for j in range(n):
-            jm = n - 1 if j == 0 else j - 1
-            jp = 0 if j == n - 1 else j + 1
-            l = ((p[jm] + p[jp]) - 2.0 * p[j]) * inv_dx2
-            k3[j] = 1j * (half_a_xx * l - v * p[j])
-        for j in range(n):
-            p[j] = psi[j] + dt * k3[j]
-        for j in range(n):
-            jm = n - 1 if j == 0 else j - 1
-            jp = 0 if j == n - 1 else j + 1
-            l = ((p[jm] + p[jp]) - 2.0 * p[j]) * inv_dx2
-            k4[j] = 1j * (half_a_xx * l - v * p[j])
-        for j in range(n):
-            psi[j] = psi[j] + sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-        s = step + 1
-        if s % stride == 0 or s == n_steps:
-            bad = False
-            for j in range(n):
-                out_psi[wrote, j] = psi[j]
-                if not abs(psi[j]) < BLOWUP_MAGNITUDE:
-                    bad = True
-            wrote += 1
-            if bad:
-                return wrote, True
-    return wrote, False
-
-
-if NUMBA_ENABLED:
-    _telegraph_stencil_fast = njit(cache=True)(_telegraph_stencil_loop)
-    _schrodinger_stencil_fast = njit(cache=True)(_schrodinger_stencil_loop)
-else:
-    _telegraph_stencil_fast = None
-    _schrodinger_stencil_fast = None
-
-
-def _telegraph_stencil_numpy_run(out_psi, out_phi, psi0, phi0, a_xx, inv_a_tt,
-                                 v, inv_dx2, dt, n_steps, stride):
-    def lap(a):
-        return stencil_laplacian(a, inv_dx2)
-
-    return _telegraph_rk4_numpy(lap, out_psi, out_phi, psi0, phi0, a_xx,
-                                inv_a_tt, v, dt, n_steps, stride)
-
-
-def _schrodinger_stencil_numpy_run(out_psi, psi0, half_a_xx, v, inv_dx2, dt,
-                                   n_steps, stride):
-    def lap(a):
-        return stencil_laplacian(a, inv_dx2)
-
-    return _schrodinger_rk4_numpy(lap, out_psi, psi0, half_a_xx, v, dt,
-                                  n_steps, stride)
+    ``a`` stacks one matrix per Fourier mode, shape (n, d, d), and
+    ``initial`` holds the d starting components.  In the first-order limit
+    (d = 1) the second returned component is dpsi_dt = a psi.
+    """
+    steps = sample_steps(n_steps, stride)
+    d = a.shape[-1]
+    out = np.empty((2, len(steps), a.shape[0]), dtype=np.complex128)
+    np.fft.fft(initial, axis=-1, out=out[:d, 0])
+    with np.errstate(all="ignore"):  # unstable runs overflow; rows are checked
+        full, rest = _stride_updates(a, dt, n_steps, stride)
+        for i in range(1, len(steps)):
+            e = rest if i == len(steps) - 1 and n_steps % stride else full
+            prev = out[:d, i - 1]
+            out[:d, i] = prev + (e * prev).sum(axis=1)
+        if d == 1:
+            np.multiply(out[0], a[:, 0, 0], out=out[1])
+        np.fft.ifft(out, axis=-1, out=out)
+        out[:d, 0] = initial
+        return _truncate(out, steps)
 
 
 def run_field_second_order(psi0, phi0, a_xx, a_tt, v, dx, dt, n_steps,
-                           stride=1, laplacian="stencil", backend=None):
-    """Step the second-order field system; see :func:`run_uniform` for returns.
+                           stride=1, laplacian="stencil"):
+    """Step psi' = phi, phi' = (2(v psi - i phi) - a_xx lap psi) / a_tt.
 
-    ``backend`` overrides dispatch ("numba" or "numpy"); the default follows
-    the module flag.  The spectral Laplacian always runs the numpy driver.
+    Returns (psis, phis, steps, blow_slot) as :func:`run_uniform` does,
+    with one row of grid values per stored sample.
     """
     if a_tt <= 0.0:
         raise ValueError("second-order stepping needs a_tt > 0")
-    psi0 = np.ascontiguousarray(psi0, dtype=np.complex128)
-    phi0 = np.ascontiguousarray(phi0, dtype=np.complex128)
-    steps = sample_steps(n_steps, stride)
-    out_psi = np.empty((steps.shape[0], psi0.shape[0]), dtype=np.complex128)
-    out_phi = np.empty_like(out_psi)
-    inv_a_tt = 1.0 / float(a_tt)
-    args = (out_psi, out_phi, psi0, phi0, float(a_xx), inv_a_tt, float(v))
-    if laplacian == "spectral":
-        lap = make_spectral_laplacian(psi0.shape[0], dx)
-        wrote, blew = _telegraph_rk4_numpy(lap, *args, float(dt), int(n_steps), int(stride))
-    elif laplacian == "stencil":
-        inv_dx2 = 1.0 / (dx * dx)
-        use_numba = NUMBA_ENABLED if backend is None else backend == "numba"
-        if use_numba:
-            if _telegraph_stencil_fast is None:
-                raise RuntimeError("numba backend requested but unavailable")
-            runner = _telegraph_stencil_fast
-        else:
-            runner = _telegraph_stencil_numpy_run
-        wrote, blew = runner(*args, inv_dx2, float(dt), int(n_steps), int(stride))
-    else:
-        raise ValueError(f"unknown laplacian mode {laplacian!r}")
-    blow_slot = wrote - 1 if blew else -1
-    return out_psi[:wrote], out_phi[:wrote], steps[:wrote], blow_slot
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    lam = laplacian_eigenvalues(psi0.shape[0], dx, laplacian)
+    a = np.zeros((lam.shape[0], 2, 2), dtype=np.complex128)
+    a[:, 0, 1] = 1.0
+    a[:, 1, 0] = (2.0 * v + a_xx * lam) / a_tt
+    a[:, 1, 1] = -2j / a_tt
+    return _run_field(a, (psi0, np.asarray(phi0, dtype=np.complex128)),
+                      float(dt), int(n_steps), int(stride))
 
 
 def run_field_first_order(psi0, a_xx, v, dx, dt, n_steps, stride=1,
-                          laplacian="stencil", backend=None):
-    """Step the first-order (Schrodinger-limit) field system."""
-    psi0 = np.ascontiguousarray(psi0, dtype=np.complex128)
-    steps = sample_steps(n_steps, stride)
-    out_psi = np.empty((steps.shape[0], psi0.shape[0]), dtype=np.complex128)
-    half_a_xx = 0.5 * float(a_xx)
-    if laplacian == "spectral":
-        lap = make_spectral_laplacian(psi0.shape[0], dx)
-        wrote, blew = _schrodinger_rk4_numpy(lap, out_psi, psi0, half_a_xx,
-                                             float(v), float(dt), int(n_steps),
-                                             int(stride))
-    elif laplacian == "stencil":
-        inv_dx2 = 1.0 / (dx * dx)
-        use_numba = NUMBA_ENABLED if backend is None else backend == "numba"
-        if use_numba:
-            if _schrodinger_stencil_fast is None:
-                raise RuntimeError("numba backend requested but unavailable")
-            runner = _schrodinger_stencil_fast
-        else:
-            runner = _schrodinger_stencil_numpy_run
-        wrote, blew = runner(out_psi, psi0, half_a_xx, float(v), inv_dx2,
-                             float(dt), int(n_steps), int(stride))
-    else:
-        raise ValueError(f"unknown laplacian mode {laplacian!r}")
-    blow_slot = wrote - 1 if blew else -1
-    return out_psi[:wrote], steps[:wrote], blow_slot
+                          laplacian="stencil"):
+    """Step the Schrodinger limit psi' = i ((a_xx / 2) lap psi - v psi).
+
+    Returns (psis, dpsis_dt, steps, blow_slot); the derivative is slaved to
+    psi in this limit and is computed from the same spectra.
+    """
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    lam = laplacian_eigenvalues(psi0.shape[0], dx, laplacian)
+    a = (1j * (-0.5 * a_xx * lam - v)).reshape(-1, 1, 1)
+    return _run_field(a, (psi0,), float(dt), int(n_steps), int(stride))

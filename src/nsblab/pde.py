@@ -66,17 +66,9 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     def laplacian_eigenvalues(self, laplacian: str = "stencil") -> np.ndarray:
-        """Positive eigenvalues k_eff^2 of minus the discrete Laplacian.
-
-        The stencil operator maps the mode exp(i k xi) to
-        -(2 / dx^2) (1 - cos(k dx)) times itself; the spectral operator is
-        exact (-k^2).
-        """
+        """Positive eigenvalues k_eff^2 of minus the discrete Laplacian."""
         _check_laplacian_mode(laplacian)
-        k = self.wavenumbers()
-        if laplacian == "spectral":
-            return k * k
-        return (2.0 / self.dx**2) * (1.0 - np.cos(k * self.dx))
+        return kernels.laplacian_eigenvalues(self.n, self.dx, laplacian)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +280,6 @@ class EvolutionResult:
     n_steps: int
     snapshot_stride: int
     laplacian: str
-    backend: str
 
 
 def _auto_stride(n_steps: int, target_snapshots: int = 512) -> int:
@@ -307,12 +298,10 @@ def evolve(problem: PdeProblem) -> EvolutionResult:
     grid = problem.grid
     psi0 = problem.initial.psi.values
     phi0 = problem.initial.dpsi_dt.values
-    first_order = problem.coeffs.a_tt == 0.0
-    if first_order:
-        psis, steps, blow = kernels.run_field_first_order(
+    if problem.coeffs.a_tt == 0.0:
+        psis, phis, steps, blow = kernels.run_field_first_order(
             psi0, problem.coeffs.a_xx, problem.coeffs.v, grid.dx, problem.dt,
             n_steps, stride, problem.laplacian)
-        phis = None
     else:
         psis, phis, steps, blow = kernels.run_field_second_order(
             psi0, phi0, problem.coeffs.a_xx, problem.coeffs.a_tt,
@@ -327,20 +316,12 @@ def evolve(problem: PdeProblem) -> EvolutionResult:
             k_dom = grid.wavenumbers()[int(np.argmax(spectrum))]
             detail = f"dominant content near k_hat={k_dom:.4g}"
         raise BlowUpError(t_blow, detail)
-    if first_order:
-        # The derivative is slaved to psi in the first-order limit.
-        phis = np.empty_like(psis)
-        for i in range(psis.shape[0]):
-            lap = _laplacian_values(psis[i], grid, problem.laplacian)
-            phis[i] = 1j * (0.5 * problem.coeffs.a_xx * lap
-                            - problem.coeffs.v * psis[i])
     times = steps.astype(float) * problem.dt
     l2 = np.sqrt(np.sum(np.abs(psis) ** 2, axis=1) * grid.dx)
     return EvolutionResult(
         times=times, psi=psis, dpsi_dt=phis, l2_norm=l2,
         max_abs=np.abs(psis).max(axis=1), dt=problem.dt, n_steps=n_steps,
         snapshot_stride=stride, laplacian=problem.laplacian,
-        backend="numpy" if problem.laplacian == "spectral" else kernels.active_backend(),
     )
 
 
@@ -407,12 +388,8 @@ def plane_wave_state(grid: Grid, mode_index: int, coeffs: CanonicalCoefficients,
         raise ValueError("branch must be 'plus' or 'minus'")
     if abs(mode_index) > grid.n // 2:
         raise ValueError(f"mode_index must satisfy |j| <= n/2, got {mode_index}")
-    _check_laplacian_mode(laplacian_mode)
     k = 2.0 * np.pi * mode_index / grid.length
-    if laplacian_mode == "spectral":
-        eig = k * k
-    else:
-        eig = (2.0 / grid.dx**2) * (1.0 - math.cos(k * grid.dx))
+    eig = grid.laplacian_eigenvalues(laplacian_mode)[mode_index % grid.n]
     omega_plus, omega_minus = dispersion_branches(coeffs, eig)
     omega = omega_plus if branch == "plus" else omega_minus
     psi = np.exp(1j * k * grid.xi())

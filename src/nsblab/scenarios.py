@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .analytic import (
     EquationForm,
     EquationParameters,
@@ -344,7 +344,7 @@ def _run_fig1(params: dict) -> tuple[list[OutputFile], dict]:
         ))
         runs.append({"horizon_tau": horizon, "dt": dt, "sample_stride": stride,
                      "n_steps": n_samples * stride})
-    solver = {"runs": runs, "backend": kernels.active_backend()}
+    solver = {"runs": runs}
     return outputs, solver
 
 
@@ -422,8 +422,7 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     )]
     solver = {"dt": dt, "n_steps": n_steps, "window_tau": window,
               "window_capped": capped, "max_growth_rate_on_grid": s_max,
-              "laplacian": lap_mode,
-              "backend": "numpy" if lap_mode == "spectral" else kernels.active_backend()}
+              "laplacian": lap_mode}
     return outputs, solver
 
 
@@ -470,8 +469,7 @@ def _run_regime_compare(params: dict) -> tuple[list[OutputFile], dict]:
         header=["r", "sup_distance_uniform", "sup_distance_packet"],
         rows=rows,
     )]
-    solver = {"dts": dts, "horizon_tau": horizon, "laplacian": lap_mode,
-              "backend": "numpy" if lap_mode == "spectral" else kernels.active_backend()}
+    solver = {"dts": dts, "horizon_tau": horizon, "laplacian": lap_mode}
     return outputs, solver
 
 
@@ -503,8 +501,7 @@ def _run_convergence(params: dict) -> tuple[list[OutputFile], dict]:
         header=["dt", "max_error"],
         rows=pairs,
     )]
-    solver = {"fitted_order": order, "horizon_tau": horizon,
-              "backend": kernels.active_backend()}
+    solver = {"fitted_order": order, "horizon_tau": horizon}
     return outputs, solver
 
 
@@ -575,7 +572,7 @@ def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
     ]
     solver = {"form": form, "dt": dt, "n_steps": n_steps,
               "snapshot_stride": result.snapshot_stride, "horizon_tau": horizon,
-              "laplacian": lap_mode, "backend": result.backend}
+              "laplacian": lap_mode}
     return outputs, solver
 
 

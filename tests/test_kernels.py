@@ -1,14 +1,12 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsblab import kernels
-
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA,
-                                 reason="numba not importable")
+from nsblab.analytic import CanonicalCoefficients
+from nsblab.integrator import TemporalState, integrate, rhs_uniform
+from nsblab.pde import Grid, stability_dt
 
 
 def random_state(n, seed, scale=0.1):
@@ -16,6 +14,124 @@ def random_state(n, seed, scale=0.1):
     psi = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     phi = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return psi, phi
+
+
+# --------------------------------------------------------------------------
+# Reference: classical RK4 stepped in physical space, one stage at a time.
+# --------------------------------------------------------------------------
+
+
+def _operator(n, dx, mode):
+    if mode == "spectral":
+        return kernels.make_spectral_laplacian(n, dx)
+    return lambda a: kernels.stencil_laplacian(a, 1.0 / (dx * dx))
+
+
+def _check_snapshot(out_psi, out_phi, psi, phi, wrote):
+    out_psi[wrote] = psi
+    if out_phi is not None:
+        out_phi[wrote] = phi
+    m = np.abs(psi).max()
+    if out_phi is not None:
+        m = max(m, np.abs(phi).max())
+    return not (m < kernels.BLOWUP_MAGNITUDE)
+
+
+def _telegraph_rk4_numpy(lap, out_psi, out_phi, psi0, phi0, a_xx, inv_a_tt, v,
+                         dt, n_steps, stride):
+    psi = psi0.copy()
+    phi = phi0.copy()
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    out_psi[0] = psi
+    out_phi[0] = phi
+    wrote = 1
+    for step in range(n_steps):
+        k1p = phi
+        k1f = (2.0 * (v * psi - 1j * phi) - a_xx * lap(psi)) * inv_a_tt
+        p = psi + half * k1p
+        f = phi + half * k1f
+        k2p = f
+        k2f = (2.0 * (v * p - 1j * f) - a_xx * lap(p)) * inv_a_tt
+        p = psi + half * k2p
+        f = phi + half * k2f
+        k3p = f
+        k3f = (2.0 * (v * p - 1j * f) - a_xx * lap(p)) * inv_a_tt
+        p = psi + dt * k3p
+        f = phi + dt * k3f
+        k4p = f
+        k4f = (2.0 * (v * p - 1j * f) - a_xx * lap(p)) * inv_a_tt
+        psi = psi + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        phi = phi + sixth * (k1f + 2.0 * k2f + 2.0 * k3f + k4f)
+        s = step + 1
+        if s % stride == 0 or s == n_steps:
+            bad = _check_snapshot(out_psi, out_phi, psi, phi, wrote)
+            wrote += 1
+            if bad:
+                return wrote, True
+    return wrote, False
+
+
+def _schrodinger_rk4_numpy(lap, out_psi, psi0, half_a_xx, v, dt, n_steps, stride):
+    psi = psi0.copy()
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    out_psi[0] = psi
+    wrote = 1
+    for step in range(n_steps):
+        k1 = 1j * (half_a_xx * lap(psi) - v * psi)
+        p = psi + half * k1
+        k2 = 1j * (half_a_xx * lap(p) - v * p)
+        p = psi + half * k2
+        k3 = 1j * (half_a_xx * lap(p) - v * p)
+        p = psi + dt * k3
+        k4 = 1j * (half_a_xx * lap(p) - v * p)
+        psi = psi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        s = step + 1
+        if s % stride == 0 or s == n_steps:
+            bad = _check_snapshot(out_psi, None, psi, None, wrote)
+            wrote += 1
+            if bad:
+                return wrote, True
+    return wrote, False
+
+
+def reference_second_order(psi0, phi0, a_xx, a_tt, v, dx, dt, n_steps, stride,
+                           laplacian):
+    steps = kernels.sample_steps(n_steps, stride)
+    out_psi = np.empty((len(steps), len(psi0)), dtype=np.complex128)
+    out_phi = np.empty_like(out_psi)
+    wrote, _ = _telegraph_rk4_numpy(_operator(len(psi0), dx, laplacian),
+                                    out_psi, out_phi, psi0, phi0, a_xx,
+                                    1.0 / a_tt, v, dt, n_steps, stride)
+    return out_psi[:wrote], out_phi[:wrote], steps[:wrote]
+
+
+def reference_first_order(psi0, a_xx, v, dx, dt, n_steps, stride, laplacian):
+    steps = kernels.sample_steps(n_steps, stride)
+    out_psi = np.empty((len(steps), len(psi0)), dtype=np.complex128)
+    lap = _operator(len(psi0), dx, laplacian)
+    wrote, _ = _schrodinger_rk4_numpy(lap, out_psi, psi0, 0.5 * a_xx, v, dt,
+                                      n_steps, stride)
+    psis = out_psi[:wrote]
+    phis = np.array([1j * (0.5 * a_xx * lap(p) - v * p) for p in psis])
+    return psis, phis, steps[:wrote]
+
+
+def reference_uniform(psi0, phi0, v, dt, n_steps, stride):
+    traj = integrate(TemporalState(psi0, phi0), lambda s: rhs_uniform(s, v),
+                     n_steps * dt, dt, stride)
+    return traj.psis, traj.dpsis_dt, kernels.sample_steps(n_steps, stride)
+
+
+def assert_close(got, want, rel=1e-11):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want))
+
+
+# --------------------------------------------------------------------------
+# Layout and operators.
+# --------------------------------------------------------------------------
 
 
 def test_sample_steps_layout():
@@ -59,11 +175,92 @@ def test_spectral_laplacian_mode_eigenvalue():
     assert np.max(np.abs(out + k * k * mode)) < 1e-12 * k * k
 
 
-def test_uniform_kernel_blow_up_slot():
-    psis, phis, steps, blow = kernels.run_uniform(0.0j, 2.0j, 0.0, 2.0, 5000, 1)
-    assert blow >= 0
-    last = psis[blow]
-    assert not np.isfinite(last) or abs(last) >= kernels.BLOWUP_MAGNITUDE
+def test_laplacian_eigenvalues_rejects_unknown_mode():
+    with pytest.raises(ValueError):
+        kernels.laplacian_eigenvalues(16, 0.5, "foo")
+
+
+# --------------------------------------------------------------------------
+# Propagator against the reference.
+# --------------------------------------------------------------------------
+
+# a_xx = 0.05, v = 0.1 put the critical wavenumber at 4; with dx = 1 every
+# mode of either Laplacian is below it, so no mode grows from round-off.
+A_XX, V, DX, N = 0.05, 0.1, 1.0, 64
+
+
+# A stride that divides n_steps, one that leaves a remainder, one longer
+# than the run, and an empty run.
+STRIDE_CASES = [(120, 30), (120, 7), (120, 500), (0, 5)]
+
+
+def assert_matches(got, want):
+    assert got[3] == -1
+    assert np.array_equal(got[2], want[2])
+    assert_close(got[0], want[0])
+    assert_close(got[1], want[1])
+
+
+@pytest.mark.parametrize("n_steps,stride", STRIDE_CASES)
+def test_uniform_kernel_matches_reference(n_steps, stride):
+    psi, phi = 0.3 - 0.1j, 0.2j
+    assert_matches(kernels.run_uniform(psi, phi, 0.2, 0.05, n_steps, stride),
+                   reference_uniform(psi, phi, 0.2, 0.05, n_steps, stride))
+
+
+@pytest.mark.parametrize("n_steps,stride", STRIDE_CASES)
+@pytest.mark.parametrize("laplacian", ["stencil", "spectral"])
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_propagator_matches_reference(order, laplacian, n_steps, stride):
+    psi, phi = random_state(N, 7)
+    if order == "second":
+        coeffs = CanonicalCoefficients(a_xx=A_XX, a_tt=1.0, v=V)
+        dt = stability_dt(coeffs, Grid(N, N * DX), 0.9, laplacian)
+        got = kernels.run_field_second_order(psi, phi, A_XX, 1.0, V, DX, dt,
+                                             n_steps, stride, laplacian)
+        want = reference_second_order(psi, phi, A_XX, 1.0, V, DX, dt,
+                                      n_steps, stride, laplacian)
+    else:
+        coeffs = CanonicalCoefficients(a_xx=A_XX, a_tt=0.0, v=V)
+        dt = stability_dt(coeffs, Grid(N, N * DX), 0.9, laplacian)
+        got = kernels.run_field_first_order(psi, A_XX, V, DX, dt, n_steps,
+                                            stride, laplacian)
+        want = reference_first_order(psi, A_XX, V, DX, dt, n_steps, stride,
+                                     laplacian)
+    assert_matches(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.sampled_from(["first", "second"]),
+       laplacian=st.sampled_from(["stencil", "spectral"]),
+       n=st.sampled_from([8, 16, 32, 64]),
+       dx_scale=st.floats(1.1, 3.0),
+       r=st.floats(0.5, 2.0),
+       v=st.floats(-0.5, 0.49),
+       safety=st.floats(0.1, 1.0),
+       n_steps=st.integers(0, 150),
+       stride=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+def test_propagator_matches_reference_property(order, laplacian, n, dx_scale, r,
+                                               v, safety, n_steps, stride, seed):
+    # dx at least pi / k_crit keeps every mode of either Laplacian stable.
+    dx = dx_scale * np.pi / np.sqrt((1.0 - 2.0 * v) / r)
+    a_tt = 1.0 if order == "second" else 0.0
+    coeffs = CanonicalCoefficients(a_xx=r, a_tt=a_tt, v=v)
+    dt = stability_dt(coeffs, Grid(n, n * dx), safety, laplacian)
+    psi, phi = random_state(n, seed)
+    if order == "second":
+        got = kernels.run_field_second_order(psi, phi, r, 1.0, v, dx, dt,
+                                             n_steps, stride, laplacian)
+        want = reference_second_order(psi, phi, r, 1.0, v, dx, dt, n_steps,
+                                      stride, laplacian)
+    else:
+        got = kernels.run_field_first_order(psi, r, v, dx, dt, n_steps, stride,
+                                            laplacian)
+        want = reference_first_order(psi, r, v, dx, dt, n_steps, stride,
+                                     laplacian)
+    assert np.array_equal(got[2], kernels.sample_steps(n_steps, stride))
+    assert_matches(got, want)
 
 
 def test_field_kernel_shapes_and_steps():
@@ -77,44 +274,7 @@ def test_field_kernel_shapes_and_steps():
     assert np.array_equal(snap_psi[0], psi)
 
 
-@needs_numba
-def test_second_order_backends_agree():
-    psi, phi = random_state(64, 2)
-    args = (psi, phi, 0.05, 1.0, 0.1, 0.5, 0.01, 400)
-    a = kernels.run_field_second_order(*args, stride=40, laplacian="stencil",
-                                       backend="numba")
-    b = kernels.run_field_second_order(*args, stride=40, laplacian="stencil",
-                                       backend="numpy")
-    assert np.max(np.abs(a[0] - b[0])) < 1e-12
-    assert np.max(np.abs(a[1] - b[1])) < 1e-12
-    assert np.array_equal(a[2], b[2])
-
-
-@needs_numba
-def test_first_order_backends_agree():
-    psi, _ = random_state(64, 3)
-    args = (psi, 0.05, 0.1, 0.5, 0.01, 400)
-    a = kernels.run_field_first_order(*args, stride=40, laplacian="stencil",
-                                      backend="numba")
-    b = kernels.run_field_first_order(*args, stride=40, laplacian="stencil",
-                                      backend="numpy")
-    assert np.max(np.abs(a[0] - b[0])) < 1e-13
-
-
-@needs_numba
-def test_uniform_kernel_matches_plain_python():
-    out = np.empty(11, dtype=np.complex128)
-    out2 = np.empty_like(out)
-    phi_out = np.empty_like(out)
-    phi_out2 = np.empty_like(out)
-    wrote, blew = kernels._uniform_rk4(out, phi_out, 0.0j, 2.0j, 0.1, 1e-2, 10, 1)
-    wrote2, blew2 = kernels._uniform_rk4_fast(out2, phi_out2, 0.0j, 2.0j, 0.1,
-                                              1e-2, 10, 1)
-    assert (wrote, blew) == (wrote2, blew2)
-    assert np.max(np.abs(out - out2)) < 1e-14
-
-
-def test_rerun_is_bit_identical_within_backend():
+def test_rerun_is_bit_identical():
     psi, phi = random_state(32, 4)
     args = (psi, phi, 0.05, 1.0, 0.0, 0.5, 0.01, 200)
     a = kernels.run_field_second_order(*args, stride=50, laplacian="stencil")
@@ -123,41 +283,47 @@ def test_rerun_is_bit_identical_within_backend():
     assert np.array_equal(a[1], b[1])
 
 
-def test_spectral_path_ignores_backend_request():
-    psi, phi = random_state(32, 5)
-    args = (psi, phi, 0.05, 1.0, 0.0, 0.5, 0.01, 50)
-    a = kernels.run_field_second_order(*args, stride=10, laplacian="spectral",
-                                       backend="numba")
-    b = kernels.run_field_second_order(*args, stride=10, laplacian="spectral",
-                                       backend="numpy")
-    assert np.array_equal(a[0], b[0])
+# --------------------------------------------------------------------------
+# Blow-up truncation.
+# --------------------------------------------------------------------------
 
 
-def _run_flag_probe(flag_value):
-    env = dict(os.environ)
-    env[kernels.ENV_FLAG] = flag_value
-    code = ("import nsblab.kernels as k; "
-            "print(k.NUMBA_ENABLED, k.active_backend())")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    return out.stdout.strip()
+def test_uniform_kernel_blow_up_slot():
+    psis, phis, steps, blow = kernels.run_uniform(0.0j, 2.0j, 0.0, 2.0, 5000, 1)
+    assert blow >= 0
+    last = psis[blow]
+    assert not np.isfinite(last) or abs(last) >= kernels.BLOWUP_MAGNITUDE
 
 
-@pytest.mark.parametrize("flag", ["0", "false", "off", "no", "FALSE", " 0 "])
-def test_env_flag_disables_numba(flag):
-    assert _run_flag_probe(flag) == "False numpy"
+@pytest.mark.parametrize("laplacian", ["stencil", "spectral"])
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_field_kernel_truncates_at_first_bad_row(order, laplacian):
+    n, dx, stride = 32, 0.5, 7
+    psi, phi = random_state(n, 9)
+    a_tt = 1.0 if order == "second" else 0.0
+    coeffs = CanonicalCoefficients(a_xx=1.0, a_tt=a_tt, v=0.0)
+    dt = 3.0 * stability_dt(coeffs, Grid(n, n * dx), 1.0, laplacian)
+    if order == "second":
+        psis, phis, steps, blow = kernels.run_field_second_order(
+            psi, phi, 1.0, 1.0, 0.0, dx, dt, 2000, stride, laplacian)
+    else:
+        psis, phis, steps, blow = kernels.run_field_first_order(
+            psi, 1.0, 0.0, dx, dt, 2000, stride, laplacian)
+    assert blow >= 1
+    assert len(psis) == len(phis) == len(steps) == blow + 1
+    assert list(steps) == list(kernels.sample_steps(2000, stride)[:blow + 1])
+    row = np.concatenate([psis[blow], phis[blow]])
+    assert not np.all(np.isfinite(row)) or np.abs(row).max() >= kernels.BLOWUP_MAGNITUDE
+    earlier = np.concatenate([psis[:blow], phis[:blow]])
+    assert np.all(np.isfinite(earlier))
+    assert np.abs(earlier).max() < kernels.BLOWUP_MAGNITUDE
 
 
-@needs_numba
-def test_env_flag_enables_numba_by_default():
-    assert _run_flag_probe("1") == "True numba"
-
-
-def test_flag_off_skips_numba_import_entirely():
-    env = dict(os.environ)
-    env[kernels.ENV_FLAG] = "0"
-    code = ("import sys; import nsblab.kernels; "
-            "print('numba' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+def test_field_kernel_flags_one_bad_point_in_either_component():
+    psi, phi = random_state(16, 3)
+    phi[5] = 2.0 * kernels.BLOWUP_MAGNITUDE
+    psis, phis, steps, blow = kernels.run_field_second_order(
+        psi, phi, 0.1, 1.0, 0.0, 0.5, 0.01, 5, 2, "stencil")
+    assert blow == 0
+    assert list(steps) == [0]
+    assert np.array_equal(phis[0], phi)
