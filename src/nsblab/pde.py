@@ -28,7 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import kernels
-from .analytic import CanonicalCoefficients, EquationParameters, dispersion_branches
+from .analytic import CanonicalCoefficients, dispersion_branches
 from .integrator import BlowUpError, _resolve_steps
 
 ArrayLike = Union[float, np.ndarray]
@@ -112,59 +112,11 @@ class FieldState:
         return cls(ComplexField.constant(grid, psi), ComplexField.constant(grid, dpsi_dt))
 
 
-def laplacian(field: ComplexField) -> ComplexField:
-    """Second-order central-difference Laplacian (periodic)."""
-    out = kernels.stencil_laplacian(field.values, 1.0 / field.grid.dx**2)
-    return ComplexField(out, field.grid)
-
-
-def spectral_laplacian(field: ComplexField) -> ComplexField:
-    """Exact Laplacian via the Fourier multiplier -k^2."""
-    lap = kernels.make_spectral_laplacian(field.grid.n, field.grid.dx)
-    return ComplexField(lap(field.values), field.grid)
-
-
 def _laplacian_values(values: np.ndarray, grid: Grid, mode: str) -> np.ndarray:
     _check_laplacian_mode(mode)
     if mode == "spectral":
         return kernels.make_spectral_laplacian(grid.n, grid.dx)(values)
     return kernels.stencil_laplacian(values, 1.0 / grid.dx**2)
-
-
-def rhs_field(state: FieldState, coeffs: CanonicalCoefficients,
-              laplacian_mode: str = "stencil") -> FieldState:
-    """Method-of-lines derivative of the second-order field system.
-
-    Returns (psi_t, psi_tt) with
-    psi_tt = (2 (v psi - i psi_t) - a_xx lap psi) / a_tt.
-    """
-    if coeffs.a_tt <= 0.0:
-        raise ValueError("rhs_field needs a_tt > 0; the a_tt = 0 limit is first order")
-    psi = state.psi.values
-    phi = state.dpsi_dt.values
-    lap = _laplacian_values(psi, state.grid, laplacian_mode)
-    acc = (2.0 * (coeffs.v * psi - 1j * phi) - coeffs.a_xx * lap) / coeffs.a_tt
-    return FieldState(ComplexField(phi, state.grid), ComplexField(acc, state.grid))
-
-
-def rhs_field_literal(state: FieldState, params: EquationParameters,
-                      laplacian_mode: str = "stencil") -> FieldState:
-    """Full-form derivative assembled term by term, without pre-cancelling.
-
-    The dimensionless right-hand side carries three spatial contributions
-    (-r/2, -1/2 and +1/2 times the Laplacian); the last two cancel.  This
-    assembly keeps them separate so tests can confirm the cancellation on
-    actual fields; ``rhs_field`` with reduced coefficients is the
-    production path.
-    """
-    psi = state.psi.values
-    phi = state.dpsi_dt.values
-    lap = _laplacian_values(psi, state.grid, laplacian_mode)
-    acc = 2.0 * (params.v * psi - 1j * phi)
-    acc = acc - params.r * lap
-    acc = acc - lap
-    acc = acc + lap
-    return FieldState(ComplexField(phi, state.grid), ComplexField(acc, state.grid))
 
 
 def stability_dt(coeffs: CanonicalCoefficients, grid: Grid, safety: float = 0.7,
@@ -191,6 +143,13 @@ def stability_dt(coeffs: CanonicalCoefficients, grid: Grid, safety: float = 0.7,
     if bound <= 0.0:
         raise ValueError("coefficients generate no dynamics; choose dt directly")
     return safety * kernels.RK4_IMAGINARY_STABILITY / bound
+
+
+def _step_plan(horizon: float, dt_max: float, min_steps: int = 1) -> tuple[float, int]:
+    """(dt, n_steps): the fewest whole steps, at least ``min_steps``, that
+    reach ``horizon`` exactly with ``dt <= dt_max``."""
+    n_steps = max(min_steps, math.ceil(horizon / dt_max))
+    return horizon / n_steps, n_steps
 
 
 def _unstable_mode_mask(coeffs: CanonicalCoefficients, grid: Grid,
@@ -231,12 +190,8 @@ class PdeProblem:
         if self.dt is None:
             bound = stability_dt(self.coeffs, self.grid, self.safety,
                                  self.laplacian)
-            if self.t_end > 0.0:
-                # Shrink to the nearest step count that lands exactly on t_end.
-                n = max(1, math.ceil(self.t_end / bound - 1e-12))
-                object.__setattr__(self, "dt", self.t_end / n)
-            else:
-                object.__setattr__(self, "dt", bound)
+            dt = _step_plan(self.t_end, bound)[0] if self.t_end > 0.0 else bound
+            object.__setattr__(self, "dt", dt)
         else:
             if self.dt <= 0.0 or not math.isfinite(self.dt):
                 raise ValueError("dt must be positive and finite")

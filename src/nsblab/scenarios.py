@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analytic import (
+    DEFAULT_REGIME_THRESHOLD,
     EquationForm,
     EquationParameters,
     CanonicalCoefficients,
@@ -34,9 +36,11 @@ from .analytic import (
 from .constants import PhysicalConstants, derive_scales
 from .integrator import TemporalState, convergence_order, integrate_uniform
 from .pde import (
+    LAPLACIAN_MODES,
     FieldState,
     Grid,
     PdeProblem,
+    _step_plan,
     evolve,
     field_width,
     fit_mode_frequency,
@@ -61,103 +65,164 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class KeySpec:
+    """One config key: its kind, its default and the rule on its value.
+
+    ``check`` is the rule as a predicate on the coerced value (the whole
+    list for ``list_float``), and ``doc`` states the same rule in words, so
+    ``nsb list`` shows it.  Every number must also be finite.
+    """
+
     kind: str  # float | int | bool | str | list_float | opt_float
     default: object
     doc: str
+    check: Optional[Callable[[object], bool]] = None
+
+
+def _as_float(value) -> Optional[float]:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _as_float_list(value) -> Optional[list[float]]:
+    if not isinstance(value, (list, tuple)):
+        return None
+    out = [_as_float(x) for x in value]
+    return None if None in out else out
+
+
+# kind -> (parser giving the coerced value or None, what the kind accepts)
+_KINDS = {
+    "float": (_as_float, "a finite number"),
+    "opt_float": (_as_float, "a finite number or null"),
+    "int": (lambda x: x if isinstance(x, int) and not isinstance(x, bool) else None,
+            "an integer"),
+    "bool": (lambda x: x if isinstance(x, bool) else None, "a boolean"),
+    "str": (lambda x: x if isinstance(x, str) else None, "a string"),
+    "list_float": (_as_float_list, "a list of finite numbers"),
+}
 
 
 def _coerce(name: str, spec: KeySpec, value):
-    kind = spec.kind
-    if kind == "opt_float" and value is None:
+    if spec.kind == "opt_float" and value is None:
         return None
-    if kind in ("float", "opt_float"):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"key {name!r} must be a number, got {value!r}")
-        return float(value)
-    if kind == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"key {name!r} must be an integer, got {value!r}")
-        return int(value)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"key {name!r} must be a boolean, got {value!r}")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"key {name!r} must be a string, got {value!r}")
-        return value
-    if kind == "list_float":
-        if not isinstance(value, (list, tuple)) or any(
-                isinstance(x, bool) or not isinstance(x, (int, float)) for x in value):
-            raise ConfigError(f"key {name!r} must be a list of numbers, got {value!r}")
-        return [float(x) for x in value]
-    raise AssertionError(f"unknown kind {kind}")
+    parse, accepts = _KINDS[spec.kind]
+    out = parse(value)
+    if out is None:
+        raise ConfigError(f"key {name!r} must be {accepts}, got {value!r}")
+    if spec.check is not None and not spec.check(out):
+        raise ConfigError(f"key {name!r} breaks its rule ({spec.doc}), got {value!r}")
+    return out
+
+
+def _positive(x: float) -> bool:
+    return x > 0.0
+
+
+def _halving(dts: list[float]) -> bool:
+    return len(dts) >= 3 and dts[0] > 0.0 and all(
+        abs(b / a - 0.5) <= 1e-6 for a, b in zip(dts, dts[1:]))
 
 
 _SEED = KeySpec("int", 0, "seed recorded for any randomised diagnostics")
-_SAFETY = KeySpec("float", 0.7, "fraction of the RK4 stability bound used for dt")
-_LAPLACIAN = KeySpec("str", "spectral", "spatial operator: stencil or spectral")
+_SAFETY = KeySpec("float", 0.7, "fraction of the RK4 stability bound used for dt, "
+                  "in (0, 1]", lambda x: 0.0 < x <= 1.0)
+_LAPLACIAN = KeySpec("str", "spectral", "spatial operator: stencil or spectral",
+                     lambda x: x in LAPLACIAN_MODES)
+_AMPLITUDE = KeySpec("float", 1.0, "free-solution amplitude (non-zero)",
+                     lambda x: x != 0.0)
+_DT = KeySpec("opt_float", None, "explicit step, > 0 (default: stability rule)",
+              _positive)
+
+
+def _grid_points(default: int) -> KeySpec:
+    return KeySpec("int", default, "grid points: a power of two, >= 8",
+                   lambda n: n >= 8 and n & (n - 1) == 0)
+
+
+def _positive_float(default: float, doc: str) -> KeySpec:
+    return KeySpec("float", default, f"{doc}, > 0", _positive)
 
 
 SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
     "fig1": {
-        "A": KeySpec("float", 1.0, "free-solution amplitude (non-zero)"),
-        "horizon_tau": KeySpec("list_float", [100.0, 1000.0],
-                               "time horizons in tau_p units, one CSV each"),
-        "samples_per_period": KeySpec("int", 32, "CSV samples per pi-long period"),
+        "A": _AMPLITUDE,
+        # The upper bounds keep the step and row counts finite integers.
+        "horizon_tau": KeySpec(
+            "list_float", [100.0, 1000.0],
+            "time horizons in tau_p units, one CSV each: at least one, "
+            "each in (0, 1e6]",
+            lambda hs: len(hs) > 0 and all(0.0 < h <= 1e6 for h in hs)),
+        "samples_per_period": KeySpec("int", 32,
+                                      "CSV samples per pi-long period, in [4, 4096]",
+                                      lambda x: 4 <= x <= 4096),
         "seed": _SEED,
     },
     "dispersion_scan": {
         "k_values": KeySpec("list_float", [0.125, 0.25, 0.375, 0.5],
-                            "wavenumbers to probe (snapped to grid modes)"),
-        "r": KeySpec("float", 1.0, "mass ratio"),
+                            "wavenumbers to probe (snapped to grid modes, "
+                            "at most the grid's Nyquist wavenumber)"),
+        "r": _positive_float(1.0, "mass ratio"),
         "v": KeySpec("float", 0.0, "dimensionless potential"),
-        "n": KeySpec("int", 256, "grid points (power of two)"),
-        "L": KeySpec("float", 32.0 * math.pi, "domain length"),
+        "n": _grid_points(256),
+        "L": _positive_float(32.0 * math.pi, "domain length"),
         "laplacian": _LAPLACIAN,
         "safety": _SAFETY,
         "horizon_tau": KeySpec("float", 50.0,
-                               "measurement window; auto-capped on grids with "
-                               "supercritical modes"),
-        "dt": KeySpec("opt_float", None, "explicit step (default: stability rule)"),
+                               "measurement window, > 0; auto-capped on grids "
+                               "with supercritical modes", _positive),
+        "dt": _DT,
         "allow_unstable": KeySpec("bool", False,
                                   "permit probing wavenumbers above critical"),
         "seed": _SEED,
     },
     "regime_compare": {
-        "r": KeySpec("list_float", [0.1, 0.01, 0.001], "mass ratios to compare"),
+        "r": KeySpec("list_float", [0.1, 0.01, 0.001],
+                     f"mass ratios to compare: at least one, each in "
+                     f"(0, {DEFAULT_REGIME_THRESHOLD:g}), where the macroscopic "
+                     f"form is defined",
+                     lambda rs: len(rs) > 0 and all(
+                         0.0 < r < DEFAULT_REGIME_THRESHOLD for r in rs)),
         "v": KeySpec("float", 0.0, "dimensionless potential"),
-        "horizon_tau": KeySpec("float", 20.0, "comparison horizon"),
-        "n": KeySpec("int", 32, "grid points (power of two)"),
-        "L": KeySpec("float", 40.0, "domain length"),
-        "sigma0": KeySpec("float", 2.0, "packet width for the band-limited case"),
+        "horizon_tau": _positive_float(20.0, "comparison horizon"),
+        "n": _grid_points(32),
+        "L": _positive_float(40.0, "domain length"),
+        "sigma0": _positive_float(2.0, "packet width for the band-limited case"),
         "laplacian": _LAPLACIAN,
         "safety": _SAFETY,
         "seed": _SEED,
     },
     "convergence": {
         "dts": KeySpec("list_float", [4e-3, 2e-3, 1e-3],
-                       "halving step sizes (at least three)"),
-        "A": KeySpec("float", 1.0, "free-solution amplitude (non-zero)"),
-        "horizon_tau": KeySpec("float", 10.0, "integration horizon"),
+                       "step sizes: at least three, positive, each half the "
+                       "one before", _halving),
+        "A": _AMPLITUDE,
+        "horizon_tau": _positive_float(10.0, "integration horizon"),
         "seed": _SEED,
     },
     "pde_packet": {
         "form": KeySpec("str", "schrodinger",
-                        "'schrodinger' (first-order limit) or 'full'"),
-        "n": KeySpec("int", 256, "grid points (power of two)"),
-        "L": KeySpec("float", 80.0, "domain length"),
-        "sigma0": KeySpec("float", 2.0, "initial packet width"),
-        "r": KeySpec("float", 1.0, "mass ratio"),
+                        "'schrodinger' (first-order limit) or 'full'",
+                        lambda x: x in ("schrodinger", "full")),
+        "n": _grid_points(256),
+        "L": _positive_float(80.0, "domain length"),
+        "sigma0": _positive_float(2.0, "initial packet width"),
+        "r": _positive_float(1.0, "mass ratio"),
         "v": KeySpec("float", 0.0, "dimensionless potential"),
         "horizon_tau": KeySpec("opt_float", None,
-                               "horizon (default: width-doubling time)"),
-        "dt": KeySpec("opt_float", None, "explicit step (default: stability rule)"),
+                               "horizon, > 0 (default: width-doubling time)",
+                               _positive),
+        "dt": _DT,
         "safety": _SAFETY,
         "laplacian": _LAPLACIAN,
         "allow_unstable": KeySpec("bool", False,
                                   "run despite unstable wavenumbers / oversized dt"),
-        "samples": KeySpec("int", 128, "target number of stored snapshots"),
+        "samples": KeySpec("int", 128, "target number of stored snapshots, >= 1",
+                           lambda x: x >= 1),
         "seed": _SEED,
     },
 }
@@ -313,20 +378,12 @@ def _fig1_dt(horizon: float, amplitude: float, interval: float) -> tuple[float, 
 
 def _run_fig1(params: dict) -> tuple[list[OutputFile], dict]:
     amplitude = params["A"]
-    if amplitude == 0.0:
-        raise ConfigError("A must be non-zero")
-    spp = params["samples_per_period"]
-    if spp < 4:
-        raise ConfigError("samples_per_period must be at least 4")
-    horizons = params["horizon_tau"]
-    if not horizons or any(h <= 0.0 for h in horizons):
-        raise ConfigError("horizon_tau entries must be positive")
-    interval = math.pi / spp
+    interval = math.pi / params["samples_per_period"]
     spec = FreeSolutionSpec.zero_initial(amplitude)
     initial = TemporalState(0.0 + 0.0j, 2j * amplitude)
     outputs = []
     runs = []
-    for horizon in horizons:
+    for horizon in params["horizon_tau"]:
         dt, stride = _fig1_dt(horizon, amplitude, interval)
         n_samples = int(math.floor(horizon / interval + 1e-12))
         t_end = n_samples * stride * dt
@@ -348,14 +405,20 @@ def _run_fig1(params: dict) -> tuple[list[OutputFile], dict]:
     return outputs, solver
 
 
+def _problem(*args, **kwargs) -> PdeProblem:
+    """A PdeProblem whose refusals (dt above the stability bound, content at
+    unstable modes) are configuration errors."""
+    try:
+        return PdeProblem(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     grid = Grid(params["n"], params["L"])
     lap_mode = params["laplacian"]
-    try:
-        eq = EquationParameters(params["r"], params["v"], EquationForm.FULL)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    coeffs = reduce_equation(eq)
+    coeffs = reduce_equation(
+        EquationParameters(params["r"], params["v"], EquationForm.FULL))
     if coeffs.v >= 0.5 and not params["allow_unstable"]:
         raise ConfigError("v >= 1/2 leaves no stable wavenumber; "
                           "set allow_unstable to probe growth anyway")
@@ -367,16 +430,17 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     if s_max > 0.0 and window > _ROGUE_BUDGET / s_max:
         window = _ROGUE_BUDGET / s_max
         capped = True
-    dt = params["dt"]
-    if dt is None:
-        dt = stability_dt(coeffs, grid, params["safety"], lap_mode)
-    elif dt <= 0.0:
-        raise ConfigError("dt must be positive")
-    n_steps = max(16, math.ceil(window / dt))
-    dt = window / n_steps
+    dt_max = params["dt"]
+    if dt_max is None:
+        dt_max = stability_dt(coeffs, grid, params["safety"], lap_mode)
+    dt, n_steps = _step_plan(window, dt_max, min_steps=16)
     rows = []
     for k_req in params["k_values"]:
-        j = int(round(k_req * grid.length / (2.0 * math.pi)))
+        mode = k_req * grid.length / (2.0 * math.pi)
+        if not abs(mode) <= grid.n // 2 + 0.5:
+            raise ConfigError(f"k_values entry {k_req!r} lies beyond the grid's "
+                              f"Nyquist wavenumber {math.pi / grid.dx:.6g}")
+        j = round(mode)
         state, k_snap, (omega_p_d, omega_m_d) = plane_wave_state(
             grid, j, coeffs, "minus", lap_mode)
         omega_p_exact, omega_m_exact = dispersion_branches(coeffs, k_snap**2)
@@ -386,9 +450,9 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
         else:
             resolved = 1 if 2.0 * math.pi / (abs(k_snap) * grid.dx) >= 8.0 else 0
         if mode_stable:
-            problem = PdeProblem(coeffs, grid, state, t_end=window, dt=dt,
-                                 snapshot_stride=1, laplacian=lap_mode,
-                                 allow_unstable=params["allow_unstable"])
+            problem = _problem(coeffs, grid, state, t_end=window, dt=dt,
+                               snapshot_stride=1, laplacian=lap_mode,
+                               allow_unstable=params["allow_unstable"])
             result = evolve(problem)
             amps = mode_amplitudes(result.psi, j)
             measured = fit_mode_frequency(result.times, amps)
@@ -405,9 +469,9 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
                     f"requested k_hat={k_snap:.6g} lies above the critical "
                     "wavenumber; set allow_unstable to probe growth")
             state, _, _ = plane_wave_state(grid, j, coeffs, "plus", lap_mode)
-            problem = PdeProblem(coeffs, grid, state, t_end=window, dt=dt,
-                                 snapshot_stride=1, laplacian=lap_mode,
-                                 allow_unstable=True)
+            problem = _problem(coeffs, grid, state, t_end=window, dt=dt,
+                               snapshot_stride=1, laplacian=lap_mode,
+                               allow_unstable=True)
             result = evolve(problem)
             amps = mode_amplitudes(result.psi, j)
             measured = fit_mode_growth(result.times, amps)
@@ -430,37 +494,25 @@ def _run_regime_compare(params: dict) -> tuple[list[OutputFile], dict]:
     grid = Grid(params["n"], params["L"])
     lap_mode = params["laplacian"]
     horizon = params["horizon_tau"]
-    if horizon <= 0.0:
-        raise ConfigError("horizon_tau must be positive")
-    if not params["r"]:
-        raise ConfigError("r must list at least one mass ratio")
     uniform_initial = FieldState.uniform(grid, 0.0, 2.0j)
     packet_psi = gaussian_packet(grid, params["sigma0"])
     rows = []
     dts = []
     for r in params["r"]:
-        try:
-            full = reduce_equation(EquationParameters(r, params["v"], EquationForm.FULL))
-            macro = reduce_equation(
-                EquationParameters(r, params["v"], EquationForm.MACROSCOPIC))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        dt = min(stability_dt(full, grid, params["safety"], lap_mode),
-                 stability_dt(macro, grid, params["safety"], lap_mode))
-        n_steps = max(8, math.ceil(horizon / dt))
-        dt = horizon / n_steps
+        full = reduce_equation(EquationParameters(r, params["v"], EquationForm.FULL))
+        macro = reduce_equation(
+            EquationParameters(r, params["v"], EquationForm.MACROSCOPIC))
+        dt_max = min(stability_dt(full, grid, params["safety"], lap_mode),
+                     stability_dt(macro, grid, params["safety"], lap_mode))
+        dt, _ = _step_plan(horizon, dt_max, min_steps=8)
         dts.append(dt)
         packet_initial = schrodinger_consistent_state(packet_psi, full, lap_mode)
         distances = []
         for initial in (uniform_initial, packet_initial):
             fields = []
             for coeffs in (full, macro):
-                try:
-                    problem = PdeProblem(coeffs, grid, initial, t_end=horizon,
-                                         dt=dt, snapshot_stride=1,
-                                         laplacian=lap_mode)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from exc
+                problem = _problem(coeffs, grid, initial, t_end=horizon, dt=dt,
+                                   snapshot_stride=1, laplacian=lap_mode)
                 fields.append(evolve(problem).psi)
             distances.append(float(np.max(np.abs(fields[0] - fields[1]))))
         rows.append((r, distances[0], distances[1]))
@@ -475,11 +527,7 @@ def _run_regime_compare(params: dict) -> tuple[list[OutputFile], dict]:
 
 def _run_convergence(params: dict) -> tuple[list[OutputFile], dict]:
     amplitude = params["A"]
-    if amplitude == 0.0:
-        raise ConfigError("A must be non-zero")
     horizon = params["horizon_tau"]
-    if horizon <= 0.0:
-        raise ConfigError("horizon_tau must be positive")
     dts = params["dts"]
     spec = FreeSolutionSpec.zero_initial(amplitude)
     initial = TemporalState(0.0 + 0.0j, 2j * amplitude)
@@ -507,16 +555,11 @@ def _run_convergence(params: dict) -> tuple[list[OutputFile], dict]:
 
 def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
     form = params["form"]
-    if form not in ("schrodinger", "full"):
-        raise ConfigError("form must be 'schrodinger' or 'full'")
     grid = Grid(params["n"], params["L"])
     lap_mode = params["laplacian"]
     r, v = params["r"], params["v"]
     if form == "full":
-        try:
-            coeffs = reduce_equation(EquationParameters(r, v, EquationForm.FULL))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        coeffs = reduce_equation(EquationParameters(r, v, EquationForm.FULL))
     else:
         coeffs = CanonicalCoefficients(a_xx=r, a_tt=0.0, v=v)
     sigma0 = params["sigma0"]
@@ -527,27 +570,16 @@ def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
         # Default: time for the free packet width to double.
         horizon = 2.0 * math.sqrt(3.0) * sigma0**2 / r if form == "schrodinger" \
             else 10.0 * math.pi
-    if horizon <= 0.0:
-        raise ConfigError("horizon_tau must be positive")
-    dt = params["dt"]
-    if dt is None:
-        dt = stability_dt(coeffs, grid, params["safety"], lap_mode)
-        n_steps = math.ceil(horizon / dt)
-        dt = horizon / n_steps
-    else:
-        if dt <= 0.0:
-            raise ConfigError("dt must be positive")
-        n_steps = max(1, int(round(horizon / dt)))
-        horizon = n_steps * dt
+    dt_max = params["dt"]
+    if dt_max is None:
+        dt_max = stability_dt(coeffs, grid, params["safety"], lap_mode)
+    dt, n_steps = _step_plan(horizon, dt_max)
     stride = max(1, n_steps // params["samples"])
     psi0 = gaussian_packet(grid, sigma0)
     initial = schrodinger_consistent_state(psi0, coeffs, lap_mode)
-    try:
-        problem = PdeProblem(coeffs, grid, initial, t_end=horizon, dt=dt,
-                             snapshot_stride=stride, laplacian=lap_mode,
-                             allow_unstable=params["allow_unstable"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    problem = _problem(coeffs, grid, initial, t_end=horizon, dt=dt,
+                       snapshot_stride=stride, laplacian=lap_mode,
+                       allow_unstable=params["allow_unstable"])
     result = evolve(problem)
     analytic_ok = form == "schrodinger" and v == 0.0
     width_rows = []
@@ -648,8 +680,9 @@ def run_scenario(scenario: str, params: Optional[dict] = None,
     """Run one scenario end to end; returns the manifest dictionary.
 
     ``params`` must already be resolved via :func:`resolve_config` (pass
-    None for all defaults).  CSV files are written first, the manifest last
-    and exactly once.
+    None for all defaults).  A manifest left by an earlier run is removed
+    before the first CSV is written, and the new one is renamed into place
+    last, so ``manifest.json`` only ever sits next to a complete run.
     """
     resolved = resolve_config(scenario, params or {})
     consts = constants if constants is not None else PhysicalConstants()
@@ -658,6 +691,8 @@ def run_scenario(scenario: str, params: Optional[dict] = None,
     out_path.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     outputs, solver = _RUNNERS[scenario](resolved)
+    manifest_path = out_path / "manifest.json"
+    manifest_path.unlink(missing_ok=True)  # a stale manifest would vouch for new CSVs
     manifest_outputs = []
     for out in outputs:
         rows = write_csv(out_path / out.name, out.header, out.rows)
@@ -684,7 +719,10 @@ def run_scenario(scenario: str, params: Optional[dict] = None,
         "wall_clock_seconds": elapsed,
         "output_dir": str(out_path),
     }
-    with open(out_path / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+    # Written aside and renamed, so a manifest is either whole or absent.
+    tmp_path = out_path / "manifest.json.tmp"
+    with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+    os.replace(tmp_path, manifest_path)
     return manifest

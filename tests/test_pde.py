@@ -3,7 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nsblab import kernels
 from nsblab.analytic import (
     CanonicalCoefficients,
     EquationForm,
@@ -19,32 +22,21 @@ from nsblab.pde import (
     FieldState,
     Grid,
     PdeProblem,
+    _step_plan,
     evolve,
     field_width,
     fit_mode_frequency,
     fit_mode_growth,
     gaussian_packet,
-    laplacian,
     mode_amplitudes,
     plane_wave_state,
-    rhs_field,
-    rhs_field_literal,
     schrodinger_consistent_state,
     spectral_filter,
-    spectral_laplacian,
     stability_dt,
     width_law,
 )
 
 FULL_R1 = reduce_equation(EquationParameters(1.0, 0.0, EquationForm.FULL))
-
-
-def random_field_state(grid, seed, scale=0.3):
-    rng = np.random.default_rng(seed)
-    shape = (grid.n,)
-    psi = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    phi = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return FieldState(ComplexField(psi, grid), ComplexField(phi, grid))
 
 
 # ------------------------------------------------------------------- grid
@@ -97,30 +89,28 @@ def test_field_state_requires_shared_grid():
 
 def test_laplacian_of_constant_is_zero():
     f = ComplexField.constant(Grid(32, 11.0), 1.5 - 0.5j)
-    assert np.max(np.abs(laplacian(f).values)) == 0.0
-    assert np.max(np.abs(spectral_laplacian(f).values)) == 0.0
+    stencil = kernels.stencil_laplacian(f.values, 1.0 / f.grid.dx**2)
+    spectral = kernels.make_spectral_laplacian(f.grid.n, f.grid.dx)(f.values)
+    assert np.max(np.abs(stencil)) == 0.0
+    assert np.max(np.abs(spectral)) == 0.0
 
 
 def test_stencil_laplacian_on_sine_second_order():
     g = Grid(256, 1.0)
     x = g.xi()
-    f = ComplexField(np.sin(2.0 * math.pi * x).astype(complex), g)
-    out = laplacian(f).values
+    out = kernels.stencil_laplacian(np.sin(2.0 * math.pi * x), 1.0 / g.dx**2)
     want = -(2.0 * math.pi) ** 2 * np.sin(2.0 * math.pi * x)
     rel = np.max(np.abs(out - want)) / np.max(np.abs(want))
     assert rel < 1e-3
 
 
 def test_stencil_eigenvalue_exact_per_mode():
+    # the grid reports k_eff^2, the eigenvalue of minus the stencil operator
+    # (test_kernels checks the operator against the same formula)
     g = Grid(64, 13.0)
-    x = g.xi()
     for j in (1, 5, 11):
         k = 2.0 * math.pi * j / g.length
-        mode = ComplexField(np.exp(1j * k * x), g)
         eig = -(2.0 / g.dx**2) * (1.0 - math.cos(k * g.dx))
-        out = laplacian(mode).values
-        assert np.max(np.abs(out - eig * mode.values)) < 1e-11 * abs(eig)
-        # the grid reports k_eff^2, the eigenvalue of minus the operator
         assert g.laplacian_eigenvalues("stencil")[j] == pytest.approx(-eig, rel=1e-14)
 
 
@@ -129,50 +119,6 @@ def test_spectral_eigenvalue_is_exact():
     eigs = g.laplacian_eigenvalues("spectral")
     k = g.wavenumbers()
     assert np.allclose(eigs, k**2, rtol=0.0, atol=1e-13)
-
-
-# -------------------------------------------------------------------- rhs
-
-
-def test_rhs_field_uniform_matches_ode_rhs():
-    from nsblab.integrator import rhs_uniform
-
-    g = Grid(16, 9.0)
-    for v in (0.0, 0.3, -0.7):
-        state = FieldState.uniform(g, 0.4 - 0.2j, 1.1j)
-        out = rhs_field(state, CanonicalCoefficients(a_xx=2.0, a_tt=1.0, v=v))
-        ode = rhs_uniform(TemporalState(0.4 - 0.2j, 1.1j), v)
-        assert np.max(np.abs(out.psi.values - ode.psi)) == 0.0
-        assert np.max(np.abs(out.dpsi_dt.values - ode.dpsi_dt)) < 1e-15
-
-
-def test_rhs_field_without_spatial_term_is_pointwise():
-    g = Grid(16, 9.0)
-    state = random_field_state(g, 21)
-    coeffs = CanonicalCoefficients(a_xx=0.0, a_tt=1.0, v=0.2)
-    out = rhs_field(state, coeffs)
-    want = 2.0 * (0.2 * state.psi.values - 1j * state.dpsi_dt.values)
-    assert np.max(np.abs(out.dpsi_dt.values - want)) == 0.0
-
-
-def test_rhs_field_rejects_first_order_coeffs():
-    g = Grid(16, 9.0)
-    state = random_field_state(g, 22)
-    with pytest.raises(ValueError):
-        rhs_field(state, CanonicalCoefficients(a_xx=1.0, a_tt=0.0, v=0.0))
-
-
-def test_literal_and_reduced_rhs_agree():
-    g = Grid(32, 17.0)
-    for seed in range(40, 50):
-        state = random_field_state(g, seed)
-        params = EquationParameters(10.0 ** ((seed % 5) - 2), 0.1 * seed - 4.0,
-                                    EquationForm.FULL)
-        lit = rhs_field_literal(state, params)
-        red = rhs_field(state, reduce_equation(params))
-        scale = max(1.0, float(np.max(np.abs(red.dpsi_dt.values))))
-        assert np.max(np.abs(lit.psi.values - red.psi.values)) == 0.0
-        assert np.max(np.abs(lit.dpsi_dt.values - red.dpsi_dt.values)) < 1e-13 * scale
 
 
 # ------------------------------------------------------------ stability_dt
@@ -247,6 +193,18 @@ def test_problem_default_dt_respects_bound():
     prob = PdeProblem(FULL_R1, g, state, t_end=10.0)
     assert prob.dt is not None
     assert prob.dt <= stability_dt(FULL_R1, g, prob.safety) * (1.0 + 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(horizon=st.floats(1e-6, 1e6), dt_max=st.floats(1e-6, 1e6),
+       min_steps=st.integers(1, 32))
+def test_step_plan_is_the_fewest_whole_steps(horizon, dt_max, min_steps):
+    dt, n_steps = _step_plan(horizon, dt_max, min_steps)
+    assert n_steps >= min_steps
+    assert dt <= dt_max * (1.0 + 1e-12)
+    assert n_steps * dt == pytest.approx(horizon, rel=1e-12)
+    # one step fewer would need a step above dt_max
+    assert n_steps == min_steps or horizon / (n_steps - 1) > dt_max * (1.0 - 1e-12)
 
 
 # ----------------------------------------------------------------- evolve

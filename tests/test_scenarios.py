@@ -4,10 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nsblab import scenarios
 from nsblab.cli import main
 from nsblab.constants import PhysicalConstants
 from nsblab.scenarios import (
+    SCENARIO_KEYS,
     ConfigError,
     format_planck_report,
     parse_set_overrides,
@@ -66,6 +70,49 @@ def test_type_coercion_errors():
         resolve_config("fig1", {"horizon_tau": [100.0, "x"]})
     with pytest.raises(ConfigError):
         resolve_config("pde_packet", {"allow_unstable": "yes"})
+
+
+def meets_spec(spec, value):
+    """True when ``value`` has the spec's kind, is finite and obeys its rule."""
+    if spec.kind == "opt_float" and value is None:
+        return True
+    if spec.kind in ("float", "opt_float"):
+        ok = type(value) is float and math.isfinite(value)
+    elif spec.kind == "list_float":
+        ok = type(value) is list and all(
+            type(x) is float and math.isfinite(x) for x in value)
+    else:
+        ok = type(value) is {"int": int, "bool": bool, "str": str}[spec.kind]
+    return ok and (spec.check is None or spec.check(value))
+
+
+ALL_KEYS = [(scenario, name) for scenario, keys in SCENARIO_KEYS.items()
+            for name in keys]
+
+# JSON-like values, plus the edges of the key rules
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.sampled_from([0, 1, 3, 4, 8, 100, 4096, 4097, 0.5, 1.0, 1e6, 1e308,
+                     -1.0, "stencil", "spectral", "schrodinger", "full"]))
+JSON_VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4))
+
+
+@settings(max_examples=600, deadline=None)
+@given(key=st.sampled_from(ALL_KEYS), value=JSON_VALUES)
+def test_resolve_config_returns_valid_values_or_config_error(key, value):
+    scenario, name = key
+    try:
+        resolved = resolve_config(scenario, overrides={name: value})
+    except ConfigError:
+        return
+    for other, spec in SCENARIO_KEYS[scenario].items():
+        assert meets_spec(spec, resolved[other]), (other, resolved[other])
+
+
+def test_every_default_meets_its_spec():
+    for scenario, name in ALL_KEYS:
+        spec = SCENARIO_KEYS[scenario][name]
+        assert meets_spec(spec, spec.default), (scenario, name)
 
 
 def test_parse_set_overrides():
@@ -224,6 +271,18 @@ def test_pde_packet_full_form_on_coarse_grid(tmp_path):
     assert all(r[2] == "nan" for r in rows)  # no analytic law for this form
 
 
+def test_pde_packet_explicit_dt_keeps_the_horizon(tmp_path):
+    # 1.0 / 0.03 is not whole: the step shrinks to 1/34, the horizon stays
+    manifest = run_scenario("pde_packet", {"horizon_tau": 1.0, "dt": 0.03},
+                            out_dir=tmp_path)
+    solver = manifest["solver"]
+    assert solver["n_steps"] == 34
+    assert solver["dt"] == 1.0 / 34
+    assert solver["horizon_tau"] == 1.0
+    _, rows = read_csv(tmp_path / "pde_packet_width.csv")
+    assert float(rows[-1][0]) == pytest.approx(1.0, rel=1e-15)
+
+
 def test_pde_packet_rejects_unresolved_packet(tmp_path):
     with pytest.raises(ConfigError):
         run_scenario("pde_packet", {"sigma0": 0.1}, out_dir=tmp_path)
@@ -244,6 +303,27 @@ def test_manifest_contents(tmp_path):
     listed = {entry["path"] for entry in on_disk["outputs"]}
     csvs = {p.name for p in Path(tmp_path).iterdir() if p.suffix == ".csv"}
     assert csvs == listed
+    # nothing else is left behind, no temporary manifest either
+    assert {p.name for p in Path(tmp_path).iterdir()} == listed | {"manifest.json"}
+
+
+def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
+    run_scenario("pde_packet", {"horizon_tau": 1.0}, out_dir=tmp_path)
+    assert (tmp_path / "manifest.json").exists()
+    written = []
+    real_write_csv = scenarios.write_csv
+
+    def fail_on_second_file(path, header, rows):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError("disk full")
+        return real_write_csv(path, header, rows)
+
+    monkeypatch.setattr(scenarios, "write_csv", fail_on_second_file)
+    with pytest.raises(OSError):
+        run_scenario("pde_packet", {"horizon_tau": 2.0}, out_dir=tmp_path)
+    # the old manifest must not vouch for the new, partial CSVs
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_csv_float_format_is_full_precision(tmp_path):
@@ -356,6 +436,45 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     cfg.write_text("{not json")
     assert main(["run", "fig1", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+# Each is refused before any CSV is written.  Sizes stay small: n and the
+# horizons have no resource cap, so unbounded values do not belong here.
+INVALID_RUNS = [
+    ("pde_packet", ["n=100"]),
+    ("pde_packet", ["L=-1"]),
+    ("pde_packet", ["laplacian=foo"]),
+    ("pde_packet", ["samples=0"]),
+    ("pde_packet", ["r=0"]),
+    ("pde_packet", ["r=-1"]),
+    ("pde_packet", ["safety=0"]),
+    ("pde_packet", ["horizon_tau=Infinity"]),
+    ("pde_packet", ["v=NaN"]),
+    ("dispersion_scan", ["safety=2"]),
+    ("dispersion_scan", ["horizon_tau=0"]),
+    ("fig1", ["horizon_tau=[1e308]"]),
+    ("fig1", ["samples_per_period=100000000"]),
+    ("fig1", ["A=NaN"]),
+    ("regime_compare", ["n=100"]),
+    ("regime_compare", ["sigma0=-1"]),
+    # checks across keys: dt above the grid's stability bound, and a
+    # wavenumber beyond the grid's Nyquist mode
+    ("dispersion_scan", ["n=32", "L=128", "dt=5", "k_values=[0.1]"]),
+    ("dispersion_scan", ["k_values=[100]"]),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, sets", INVALID_RUNS,
+    ids=[f"{sc}-{'-'.join(sets)}".translate(str.maketrans("", "", "[]"))
+         for sc, sets in INVALID_RUNS])
+def test_cli_invalid_input_exits_2(tmp_path, capsys, scenario, sets):
+    argv = ["run", scenario, "--out", str(tmp_path)]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_cli_exit_code_on_blow_up(tmp_path, capsys):
