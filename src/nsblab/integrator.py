@@ -27,13 +27,22 @@ from .kernels import RK4_IMAGINARY_STABILITY
 class BlowUpError(RuntimeError):
     """A trajectory left the finite range the solver can represent."""
 
+    event = "blew up"
+
     def __init__(self, time: float, detail: str = ""):
         self.time = time
         self.detail = detail
-        msg = f"solution blew up at t_hat={time:.6g}"
+        msg = f"solution {self.event} at t_hat={time:.6g}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+
+class UnderflowError(BlowUpError):
+    """A field decayed to exactly zero, below the range the solver can
+    represent, so none of its digits are left."""
+
+    event = "underflowed to zero"
 
 
 @dataclass(frozen=True)
@@ -119,6 +128,9 @@ def _resolve_steps(t_end: float, dt: float) -> int:
         raise ValueError("dt must be positive and finite")
     if t_end < 0.0 or not math.isfinite(t_end):
         raise ValueError("t_end must be non-negative and finite")
+    if not t_end / dt < kernels.MAX_STEPS:
+        raise ValueError(f"t_end={t_end!r} needs more than {kernels.MAX_STEPS} "
+                         f"steps of dt={dt!r}")
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(dt, t_end):
         raise ValueError("t_end must be an integer number of dt steps")

@@ -3,15 +3,22 @@
 Every system the package steps is linear, has constant coefficients and is
 periodic, so it is diagonal in Fourier space: mode k evolves as y' = A_k y
 with a d x d matrix A_k (d = 2 for the second-order system, 1 in the
-first-order limit; the uniform system is the k = 0 mode).  One classical
+first-order limit; the uniform system is the one-mode grid).  One classical
 RK4 step of that mode is exactly the matrix polynomial
 
     R(h A) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
 
-so a stride of s steps is R^s (repeated squaring) and each stored sample is
-one multiply of the spectrum.  This is the same discrete scheme as stepping
-in physical space, with RK4's order and stability region, up to round-off
-(see Kassam & Trefethen, SIAM J. Sci. Comput. 26 (2005) 1214).
+so a stride of s steps is R^s, formed by repeated squaring.  This is the
+same discrete scheme as stepping in physical space, with RK4's order and
+stability region, up to round-off (see Kassam & Trefethen, SIAM J. Sci.
+Comput. 26 (2005) 1214).
+
+Stored samples are advanced a block at a time: rows [f, f + m) of the
+spectra are rows [f - m, f) advanced by m strides, y + (R^(m s) - I) y.
+The block size m doubles from 1 up to ``BLOCK_ROWS`` and then stays there,
+so no temporary exceeds one capped block.  It doubles only while
+R^(m s) - I stays finite: an overflowing power would turn rows that are
+still finite into infinities and report the blow-up early.
 
 Samples are stored every ``stride`` steps, plus the initial and final
 states.  The first stored sample whose magnitude is non-finite or at or
@@ -28,6 +35,14 @@ BLOWUP_MAGNITUDE = 1e300
 # Classical RK4 is stable for |lambda| dt up to about 2.8 on the imaginary
 # axis; every step-size rule in the package derives from this number.
 RK4_IMAGINARY_STABILITY = 2.8
+
+# Step indices are int64, so a run takes fewer steps than this.
+MAX_STEPS = 2**63 - 1
+
+# Cap on the rows one block advances at once, so a block temporary holds at
+# most this many rows of the grid.  Caps of 32 and 64 timed alike on a
+# 256-point second-order run; 16 and 128 were slower.
+BLOCK_ROWS = 64
 
 # There is no compiled path; the constant stays for callers that record it.
 HAVE_NUMBA = False
@@ -85,20 +100,60 @@ def _power(e: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def _stride_updates(a: np.ndarray, dt: float, n_steps: int, stride: int):
-    """R^stride - I and R^(n_steps % stride) - I, with R = R(dt a).
+def _step_update(a: np.ndarray, dt: float) -> np.ndarray:
+    """R(dt a) - I for a stack of matrices ``a``, shape (n, d, d).
 
-    ``a`` stacks one matrix per mode, shape (n, d, d); the results have
-    shape (d, d, n).  Each is kept as its difference from I: a step close
-    to the identity then keeps its digits, and a stored sample is
-    y + (R^s - I) y.
+    Powers are kept as their difference from I: a step close to the
+    identity then keeps its digits, and an advanced sample is y + (R^s - I) y.
     """
     z = dt * a
     e = z / 4.0
     for j in (3.0, 2.0, 1.0):
         e = (z + z @ e) / j
-    return tuple(np.ascontiguousarray(np.moveaxis(_power(e, s), 0, -1))
-                 for s in (stride, n_steps % stride))
+    return e
+
+
+def _advance(spectra: np.ndarray, e: np.ndarray, src: int, dst: int,
+             count: int) -> None:
+    """Rows [dst, dst + count) = rows [src, src + count) advanced by I + e.
+
+    ``spectra`` holds components x rows x modes, ``e`` one d x d update per
+    mode, shape (n, d, d), and the source rows lie before ``dst``.
+    """
+    d = e.shape[-1]
+    x = spectra[:d, src:src + count]
+    for i in range(d):
+        acc = spectra[i, dst:dst + count]
+        np.multiply(e[:, i, 0], x[0], out=acc)
+        for j in range(1, d):
+            acc += e[:, i, j] * x[j]
+        acc += x[i]
+
+
+def _propagate(a: np.ndarray, spectra: np.ndarray, dt: float, n_steps: int,
+               stride: int) -> None:
+    """Fill rows 1.. of ``spectra`` (components x samples x modes) from row 0.
+
+    Rows 0 .. n_steps // stride are whole strides apart and are advanced a
+    block at a time (see the module docstring); a final partial stride gets
+    its own update.
+    """
+    step = _step_update(a, dt)
+    rows = n_steps // stride + 1
+    e, m, cap = _power(step, stride), 1, BLOCK_ROWS
+    f = 1
+    while f < rows:
+        count = min(m, rows - f)
+        _advance(spectra, e, f - m, f, count)
+        f += count
+        if m < cap:
+            doubled = e + e + e @ e
+            if np.isfinite(doubled).all():
+                e, m = doubled, 2 * m
+            else:
+                cap = m
+    if n_steps % stride:
+        _advance(spectra, _power(step, n_steps % stride), rows - 1, rows, 1)
 
 
 def _truncate(out: np.ndarray, steps: np.ndarray):
@@ -115,28 +170,15 @@ def _truncate(out: np.ndarray, steps: np.ndarray):
 def run_uniform(psi0, phi0, v, dt, n_steps, stride=1):
     """Integrate the uniform system, returning (psis, phis, steps, blow_slot).
 
-    The system is psi' = phi, phi' = 2 (v psi - i phi).  ``steps`` are the
-    stored step indices (times are steps * dt); ``blow_slot`` is -1 for a
-    clean run, else the index of the first stored sample that blew up
-    (arrays are truncated to end there).
+    The system is psi' = phi, phi' = 2 (v psi - i phi), stepped as the only
+    mode of a one-point grid.  ``steps`` are the stored step indices (times
+    are steps * dt); ``blow_slot`` is -1 for a clean run, else the index of
+    the first stored sample that blew up (arrays are truncated to end there).
     """
-    steps = sample_steps(n_steps, stride)
     a = np.array([[[0.0, 1.0], [2.0 * float(v), -2j]]])
-    out = np.empty((2, len(steps), 1), dtype=np.complex128)
-    psi, phi = complex(psi0), complex(phi0)
-    out[:, 0, 0] = psi, phi
-    with np.errstate(all="ignore"):  # unstable runs overflow; rows are checked
-        updates = _stride_updates(a, float(dt), int(n_steps), int(stride))
-        # Python scalars: a 2x2 product per sample is cheaper than a numpy call.
-        (e00, e01), (e10, e11) = updates[0][..., 0].tolist()
-        for i in range(1, len(steps)):
-            if i == len(steps) - 1 and n_steps % stride:
-                (e00, e01), (e10, e11) = updates[1][..., 0].tolist()
-            psi, phi = (psi + (e00 * psi + e01 * phi),
-                        phi + (e10 * psi + e11 * phi))
-            out[0, i, 0] = psi
-            out[1, i, 0] = phi
-        psis, phis, steps, blow_slot = _truncate(out, steps)
+    psis, phis, steps, blow_slot = _run_field(
+        a, ([complex(psi0)], [complex(phi0)]), float(dt), int(n_steps),
+        int(stride))
     return psis[:, 0], phis[:, 0], steps, blow_slot
 
 
@@ -152,11 +194,7 @@ def _run_field(a, initial, dt, n_steps, stride):
     out = np.empty((2, len(steps), a.shape[0]), dtype=np.complex128)
     np.fft.fft(initial, axis=-1, out=out[:d, 0])
     with np.errstate(all="ignore"):  # unstable runs overflow; rows are checked
-        full, rest = _stride_updates(a, dt, n_steps, stride)
-        for i in range(1, len(steps)):
-            e = rest if i == len(steps) - 1 and n_steps % stride else full
-            prev = out[:d, i - 1]
-            out[:d, i] = prev + (e * prev).sum(axis=1)
+        _propagate(a, out, dt, n_steps, stride)
         if d == 1:
             np.multiply(out[0], a[:, 0, 0], out=out[1])
         np.fft.ifft(out, axis=-1, out=out)

@@ -132,14 +132,15 @@ def stability_dt(coeffs: CanonicalCoefficients, grid: Grid, safety: float = 0.7,
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must be in (0, 1]")
     eigs = grid.laplacian_eigenvalues(laplacian)
-    plus, minus = dispersion_branches(coeffs, eigs)
-    bound = 0.0
-    for branch in (np.atleast_1d(plus), np.atleast_1d(minus)):
-        b = np.max(np.abs(branch.real) + np.abs(branch.imag))
-        bound = max(bound, float(b))
+    omegas = np.concatenate([np.atleast_1d(branch) for branch
+                             in dispersion_branches(coeffs, eigs)])
+    bound = float(np.max(np.abs(omegas.real) + np.abs(omegas.imag)))
     if coeffs.v >= 0.5:
         warnings.warn("all wavenumbers are unstable (v >= 1/2); "
                       "step bound taken from |Re omega| + |Im omega|")
+    if not math.isfinite(bound):
+        raise ValueError("the grid's fastest frequency is not a finite float; "
+                         "coarsen the grid or shrink the coefficients")
     if bound <= 0.0:
         raise ValueError("coefficients generate no dynamics; choose dt directly")
     return safety * kernels.RK4_IMAGINARY_STABILITY / bound
@@ -148,6 +149,9 @@ def stability_dt(coeffs: CanonicalCoefficients, grid: Grid, safety: float = 0.7,
 def _step_plan(horizon: float, dt_max: float, min_steps: int = 1) -> tuple[float, int]:
     """(dt, n_steps): the fewest whole steps, at least ``min_steps``, that
     reach ``horizon`` exactly with ``dt <= dt_max``."""
+    if not horizon / dt_max < kernels.MAX_STEPS:
+        raise ValueError(f"horizon {horizon!r} needs more than "
+                         f"{kernels.MAX_STEPS} steps of at most {dt_max!r}")
     n_steps = max(min_steps, math.ceil(horizon / dt_max))
     return horizon / n_steps, n_steps
 

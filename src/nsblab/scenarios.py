@@ -34,7 +34,12 @@ from .analytic import (
     reduce_equation,
 )
 from .constants import PhysicalConstants, derive_scales
-from .integrator import TemporalState, convergence_order, integrate_uniform
+from .integrator import (
+    TemporalState,
+    UnderflowError,
+    convergence_order,
+    integrate_uniform,
+)
 from .pde import (
     LAPLACIAN_MODES,
     FieldState,
@@ -119,12 +124,19 @@ def _coerce(name: str, spec: KeySpec, value):
     return out
 
 
-def _positive(x: float) -> bool:
-    return x > 0.0
+# Lengths, times, step sizes, mass ratios and amplitudes keep their size
+# within [1e-100, 1e100], and a potential within 1e100: the square of any
+# one of them, and the product or ratio of any two, then stays inside the
+# float range.
+_SIZE = "in [1e-100, 1e100]"
+
+
+def _sized(x: float) -> bool:
+    return 1e-100 <= x <= 1e100
 
 
 def _halving(dts: list[float]) -> bool:
-    return len(dts) >= 3 and dts[0] > 0.0 and all(
+    return len(dts) >= 3 and all(_sized(dt) for dt in dts) and all(
         abs(b / a - 0.5) <= 1e-6 for a, b in zip(dts, dts[1:]))
 
 
@@ -133,10 +145,12 @@ _SAFETY = KeySpec("float", 0.7, "fraction of the RK4 stability bound used for dt
                   "in (0, 1]", lambda x: 0.0 < x <= 1.0)
 _LAPLACIAN = KeySpec("str", "spectral", "spatial operator: stencil or spectral",
                      lambda x: x in LAPLACIAN_MODES)
-_AMPLITUDE = KeySpec("float", 1.0, "free-solution amplitude (non-zero)",
-                     lambda x: x != 0.0)
-_DT = KeySpec("opt_float", None, "explicit step, > 0 (default: stability rule)",
-              _positive)
+_AMPLITUDE = KeySpec("float", 1.0, f"free-solution amplitude, |A| {_SIZE}",
+                     lambda x: _sized(abs(x)))
+_POTENTIAL = KeySpec("float", 0.0, "dimensionless potential, |v| <= 1e100",
+                     lambda x: abs(x) <= 1e100)
+_DT = KeySpec("opt_float", None, f"explicit step, {_SIZE} (default: stability "
+              "rule)", _sized)
 
 
 def _grid_points(default: int) -> KeySpec:
@@ -145,7 +159,7 @@ def _grid_points(default: int) -> KeySpec:
 
 
 def _positive_float(default: float, doc: str) -> KeySpec:
-    return KeySpec("float", default, f"{doc}, > 0", _positive)
+    return KeySpec("float", default, f"{doc}, {_SIZE}", _sized)
 
 
 SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
@@ -167,14 +181,14 @@ SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
                             "wavenumbers to probe (snapped to grid modes, "
                             "at most the grid's Nyquist wavenumber)"),
         "r": _positive_float(1.0, "mass ratio"),
-        "v": KeySpec("float", 0.0, "dimensionless potential"),
+        "v": _POTENTIAL,
         "n": _grid_points(256),
         "L": _positive_float(32.0 * math.pi, "domain length"),
         "laplacian": _LAPLACIAN,
         "safety": _SAFETY,
         "horizon_tau": KeySpec("float", 50.0,
-                               "measurement window, > 0; auto-capped on grids "
-                               "with supercritical modes", _positive),
+                               f"measurement window, {_SIZE}; auto-capped on "
+                               "grids with supercritical modes", _sized),
         "dt": _DT,
         "allow_unstable": KeySpec("bool", False,
                                   "permit probing wavenumbers above critical"),
@@ -187,7 +201,7 @@ SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
                      f"form is defined",
                      lambda rs: len(rs) > 0 and all(
                          0.0 < r < DEFAULT_REGIME_THRESHOLD for r in rs)),
-        "v": KeySpec("float", 0.0, "dimensionless potential"),
+        "v": _POTENTIAL,
         "horizon_tau": _positive_float(20.0, "comparison horizon"),
         "n": _grid_points(32),
         "L": _positive_float(40.0, "domain length"),
@@ -198,8 +212,8 @@ SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
     },
     "convergence": {
         "dts": KeySpec("list_float", [4e-3, 2e-3, 1e-3],
-                       "step sizes: at least three, positive, each half the "
-                       "one before", _halving),
+                       f"step sizes: at least three, each {_SIZE} and half "
+                       "the one before", _halving),
         "A": _AMPLITUDE,
         "horizon_tau": _positive_float(10.0, "integration horizon"),
         "seed": _SEED,
@@ -212,10 +226,10 @@ SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
         "L": _positive_float(80.0, "domain length"),
         "sigma0": _positive_float(2.0, "initial packet width"),
         "r": _positive_float(1.0, "mass ratio"),
-        "v": KeySpec("float", 0.0, "dimensionless potential"),
+        "v": _POTENTIAL,
         "horizon_tau": KeySpec("opt_float", None,
-                               "horizon, > 0 (default: width-doubling time)",
-                               _positive),
+                               f"horizon, {_SIZE} (default: width-doubling "
+                               "time)", _sized),
         "dt": _DT,
         "safety": _SAFETY,
         "laplacian": _LAPLACIAN,
@@ -387,7 +401,8 @@ def _run_fig1(params: dict) -> tuple[list[OutputFile], dict]:
         dt, stride = _fig1_dt(horizon, amplitude, interval)
         n_samples = int(math.floor(horizon / interval + 1e-12))
         t_end = n_samples * stride * dt
-        traj = integrate_uniform(initial, 0.0, t_end, dt, sample_stride=stride)
+        traj = _refused(integrate_uniform, initial, 0.0, t_end, dt,
+                        sample_stride=stride)
         exact = free_solution(spec, traj.times)
         rows = [
             (t, p.real, p.imag, abs(p), e.real, e.imag, abs(e))
@@ -405,11 +420,17 @@ def _run_fig1(params: dict) -> tuple[list[OutputFile], dict]:
     return outputs, solver
 
 
-def _problem(*args, **kwargs) -> PdeProblem:
-    """A PdeProblem whose refusals (dt above the stability bound, content at
-    unstable modes) are configuration errors."""
+def _refused(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with its refusals as configuration errors.
+
+    For the planning calls -- ``PdeProblem`` (dt above the stability bound,
+    content at unstable modes), ``stability_dt``, ``_step_plan`` and
+    ``integrate_uniform`` (frequencies or step counts beyond the float or
+    int64 range) -- a ValueError means the inputs ask for a run that cannot
+    be made.
+    """
     try:
-        return PdeProblem(*args, **kwargs)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -432,8 +453,8 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
         capped = True
     dt_max = params["dt"]
     if dt_max is None:
-        dt_max = stability_dt(coeffs, grid, params["safety"], lap_mode)
-    dt, n_steps = _step_plan(window, dt_max, min_steps=16)
+        dt_max = _refused(stability_dt, coeffs, grid, params["safety"], lap_mode)
+    dt, n_steps = _refused(_step_plan, window, dt_max, min_steps=16)
     rows = []
     for k_req in params["k_values"]:
         mode = k_req * grid.length / (2.0 * math.pi)
@@ -450,8 +471,8 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
         else:
             resolved = 1 if 2.0 * math.pi / (abs(k_snap) * grid.dx) >= 8.0 else 0
         if mode_stable:
-            problem = _problem(coeffs, grid, state, t_end=window, dt=dt,
-                               snapshot_stride=1, laplacian=lap_mode,
+            problem = _refused(PdeProblem, coeffs, grid, state, t_end=window,
+                               dt=dt, snapshot_stride=1, laplacian=lap_mode,
                                allow_unstable=params["allow_unstable"])
             result = evolve(problem)
             amps = mode_amplitudes(result.psi, j)
@@ -469,8 +490,8 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
                     f"requested k_hat={k_snap:.6g} lies above the critical "
                     "wavenumber; set allow_unstable to probe growth")
             state, _, _ = plane_wave_state(grid, j, coeffs, "plus", lap_mode)
-            problem = _problem(coeffs, grid, state, t_end=window, dt=dt,
-                               snapshot_stride=1, laplacian=lap_mode,
+            problem = _refused(PdeProblem, coeffs, grid, state, t_end=window,
+                               dt=dt, snapshot_stride=1, laplacian=lap_mode,
                                allow_unstable=True)
             result = evolve(problem)
             amps = mode_amplitudes(result.psi, j)
@@ -502,17 +523,18 @@ def _run_regime_compare(params: dict) -> tuple[list[OutputFile], dict]:
         full = reduce_equation(EquationParameters(r, params["v"], EquationForm.FULL))
         macro = reduce_equation(
             EquationParameters(r, params["v"], EquationForm.MACROSCOPIC))
-        dt_max = min(stability_dt(full, grid, params["safety"], lap_mode),
-                     stability_dt(macro, grid, params["safety"], lap_mode))
-        dt, _ = _step_plan(horizon, dt_max, min_steps=8)
+        dt_max = min(_refused(stability_dt, c, grid, params["safety"], lap_mode)
+                     for c in (full, macro))
+        dt, _ = _refused(_step_plan, horizon, dt_max, min_steps=8)
         dts.append(dt)
         packet_initial = schrodinger_consistent_state(packet_psi, full, lap_mode)
         distances = []
         for initial in (uniform_initial, packet_initial):
             fields = []
             for coeffs in (full, macro):
-                problem = _problem(coeffs, grid, initial, t_end=horizon, dt=dt,
-                                   snapshot_stride=1, laplacian=lap_mode)
+                problem = _refused(PdeProblem, coeffs, grid, initial,
+                                   t_end=horizon, dt=dt, snapshot_stride=1,
+                                   laplacian=lap_mode)
                 fields.append(evolve(problem).psi)
             distances.append(float(np.max(np.abs(fields[0] - fields[1]))))
         rows.append((r, distances[0], distances[1]))
@@ -537,7 +559,8 @@ def _run_convergence(params: dict) -> tuple[list[OutputFile], dict]:
         if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * horizon:
             raise ConfigError(f"horizon_tau must be a whole number of dt={dt} steps")
         stride = max(1, n_steps // 1000)
-        traj = integrate_uniform(initial, 0.0, horizon, dt, sample_stride=stride)
+        traj = _refused(integrate_uniform, initial, 0.0, horizon, dt,
+                        sample_stride=stride)
         exact = free_solution(spec, traj.times)
         pairs.append((dt, float(np.max(np.abs(traj.psis - exact)))))
     try:
@@ -572,15 +595,18 @@ def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
             else 10.0 * math.pi
     dt_max = params["dt"]
     if dt_max is None:
-        dt_max = stability_dt(coeffs, grid, params["safety"], lap_mode)
-    dt, n_steps = _step_plan(horizon, dt_max)
+        dt_max = _refused(stability_dt, coeffs, grid, params["safety"], lap_mode)
+    dt, n_steps = _refused(_step_plan, horizon, dt_max)
     stride = max(1, n_steps // params["samples"])
     psi0 = gaussian_packet(grid, sigma0)
     initial = schrodinger_consistent_state(psi0, coeffs, lap_mode)
-    problem = _problem(coeffs, grid, initial, t_end=horizon, dt=dt,
-                       snapshot_stride=stride, laplacian=lap_mode,
+    problem = _refused(PdeProblem, coeffs, grid, initial, t_end=horizon,
+                       dt=dt, snapshot_stride=stride, laplacian=lap_mode,
                        allow_unstable=params["allow_unstable"])
     result = evolve(problem)
+    empty = np.flatnonzero(result.l2_norm == 0.0)
+    if empty.size:  # RK4's damping can take a long run below the float range
+        raise UnderflowError(float(result.times[empty[0]]))
     analytic_ok = form == "schrodinger" and v == 0.0
     width_rows = []
     for i, t in enumerate(result.times):

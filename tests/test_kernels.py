@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from nsblab import kernels
 from nsblab.analytic import CanonicalCoefficients
-from nsblab.integrator import TemporalState, integrate, rhs_uniform
+from nsblab.integrator import BlowUpError, TemporalState, integrate, rhs_uniform
 from nsblab.pde import Grid, stability_dt
 
 
@@ -124,6 +124,14 @@ def reference_uniform(psi0, phi0, v, dt, n_steps, stride):
     return traj.psis, traj.dpsis_dt, kernels.sample_steps(n_steps, stride)
 
 
+def reference_blow_slot(psis, phis):
+    """Index of the first row whose psi or dpsi_dt is bad, else -1."""
+    for i, (psi, phi) in enumerate(zip(psis, phis)):
+        if not max(np.abs(psi).max(), np.abs(phi).max()) < kernels.BLOWUP_MAGNITUDE:
+            return i
+    return -1
+
+
 def assert_close(got, want, rel=1e-11):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want))
@@ -190,8 +198,9 @@ A_XX, V, DX, N = 0.05, 0.1, 1.0, 64
 
 
 # A stride that divides n_steps, one that leaves a remainder, one longer
-# than the run, and an empty run.
-STRIDE_CASES = [(120, 30), (120, 7), (120, 500), (0, 5)]
+# than the run, an empty run, and two runs whose samples fill more than two
+# capped blocks of dense output (the second ends with a partial stride).
+STRIDE_CASES = [(120, 30), (120, 7), (120, 500), (0, 5), (1000, 1), (1000, 7)]
 
 
 def assert_matches(got, want):
@@ -238,7 +247,7 @@ def test_propagator_matches_reference(order, laplacian, n_steps, stride):
        r=st.floats(0.5, 2.0),
        v=st.floats(-0.5, 0.49),
        safety=st.floats(0.1, 1.0),
-       n_steps=st.integers(0, 150),
+       n_steps=st.integers(0, 400),
        stride=st.integers(1, 60),
        seed=st.integers(0, 2**32 - 1))
 def test_propagator_matches_reference_property(order, laplacian, n, dx_scale, r,
@@ -293,6 +302,26 @@ def test_uniform_kernel_blow_up_slot():
     assert blow >= 0
     last = psis[blow]
     assert not np.isfinite(last) or abs(last) >= kernels.BLOWUP_MAGNITUDE
+    with pytest.raises(BlowUpError) as info:
+        reference_uniform(0.0j, 2.0j, 0.0, 2.0, 5000, 1)
+    assert steps[blow] * 2.0 == info.value.time
+
+
+def run_both(order, laplacian, psi, phi, dx, dt, n_steps, stride):
+    """(kernel output, reference output) for one run of a_xx = 1, v = 0."""
+    if order == "second":
+        got = kernels.run_field_second_order(psi, phi, 1.0, 1.0, 0.0, dx, dt,
+                                             n_steps, stride, laplacian)
+        with np.errstate(all="ignore"):  # the reference overflows as it blows up
+            want = reference_second_order(psi, phi, 1.0, 1.0, 0.0, dx, dt,
+                                          n_steps, stride, laplacian)
+    else:
+        got = kernels.run_field_first_order(psi, 1.0, 0.0, dx, dt, n_steps,
+                                            stride, laplacian)
+        with np.errstate(all="ignore"):
+            want = reference_first_order(psi, 1.0, 0.0, dx, dt, n_steps, stride,
+                                         laplacian)
+    return got, want
 
 
 @pytest.mark.parametrize("laplacian", ["stencil", "spectral"])
@@ -303,13 +332,10 @@ def test_field_kernel_truncates_at_first_bad_row(order, laplacian):
     a_tt = 1.0 if order == "second" else 0.0
     coeffs = CanonicalCoefficients(a_xx=1.0, a_tt=a_tt, v=0.0)
     dt = 3.0 * stability_dt(coeffs, Grid(n, n * dx), 1.0, laplacian)
-    if order == "second":
-        psis, phis, steps, blow = kernels.run_field_second_order(
-            psi, phi, 1.0, 1.0, 0.0, dx, dt, 2000, stride, laplacian)
-    else:
-        psis, phis, steps, blow = kernels.run_field_first_order(
-            psi, 1.0, 0.0, dx, dt, 2000, stride, laplacian)
+    (psis, phis, steps, blow), want = run_both(order, laplacian, psi, phi, dx,
+                                               dt, 2000, stride)
     assert blow >= 1
+    assert blow == reference_blow_slot(want[0], want[1])
     assert len(psis) == len(phis) == len(steps) == blow + 1
     assert list(steps) == list(kernels.sample_steps(2000, stride)[:blow + 1])
     row = np.concatenate([psis[blow], phis[blow]])
@@ -317,6 +343,27 @@ def test_field_kernel_truncates_at_first_bad_row(order, laplacian):
     earlier = np.concatenate([psis[:blow], phis[:blow]])
     assert np.all(np.isfinite(earlier))
     assert np.abs(earlier).max() < kernels.BLOWUP_MAGNITUDE
+
+
+@pytest.mark.parametrize("factor", [50.0, 250.0])
+@pytest.mark.parametrize("laplacian", ["stencil", "spectral"])
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_tiny_unstable_run_blows_up_where_the_reference_does(order, laplacian,
+                                                              factor):
+    # Content of 1e-250 grows for many samples before it reaches the blow-up
+    # magnitude, while R^(m stride) - I overflows for moderate block sizes m
+    # long before: a block must not advance by an infinite power.
+    n, dx = 32, 0.5
+    psi, phi = random_state(n, 9, scale=1e-250)
+    a_tt = 1.0 if order == "second" else 0.0
+    coeffs = CanonicalCoefficients(a_xx=1.0, a_tt=a_tt, v=0.0)
+    dt = factor * stability_dt(coeffs, Grid(n, n * dx), 1.0, laplacian)
+    (psis, phis, steps, blow), want = run_both(order, laplacian, psi, phi, dx,
+                                               dt, 2000, 1)
+    assert blow == reference_blow_slot(want[0], want[1])
+    assert np.array_equal(steps, want[2][:blow + 1])
+    assert_close(psis[:blow], want[0][:blow])
+    assert_close(phis[:blow], want[1][:blow])
 
 
 def test_field_kernel_flags_one_bad_point_in_either_component():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
@@ -461,6 +463,17 @@ INVALID_RUNS = [
     # wavenumber beyond the grid's Nyquist mode
     ("dispersion_scan", ["n=32", "L=128", "dt=5", "k_values=[0.1]"]),
     ("dispersion_scan", ["k_values=[100]"]),
+    # magnitudes beyond the documented size range
+    ("regime_compare", ["L=1e-300"]),
+    ("pde_packet", ["sigma0=1e300"]),
+    ("convergence", ["dts=[1e-300,5e-301,2.5e-301]"]),
+    ("dispersion_scan", ["horizon_tau=1e-300"]),
+    ("fig1", ["A=1e306"]),
+    # sizes in range whose step count or fastest frequency leaves the int64
+    # or float range
+    ("fig1", ["A=1e100"]),
+    ("regime_compare", ["L=1e-100"]),
+    ("dispersion_scan", ["n=8192", "L=1e-100", "r=1e100"]),
 ]
 
 
@@ -483,3 +496,84 @@ def test_cli_exit_code_on_blow_up(tmp_path, capsys):
                "--set", "horizon_tau=1000.0"])
     assert rc == 3
     assert "blew up" in capsys.readouterr().err
+
+
+def test_cli_field_underflow_exits_3(tmp_path, capsys):
+    # At v = 1e10 the stability-rule step takes ~3.5e10 steps, and RK4's
+    # damping at |omega dt| ~ 2 takes the field to exactly zero on the way.
+    rc = main(["run", "pde_packet", "--out", str(tmp_path),
+               "--set", "allow_unstable=true", "--set", "v=1e10",
+               "--set", "samples=8"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    # the first stored snapshot after t = 0: horizon 2 sqrt(3) sigma0^2 / 8
+    assert "underflowed to zero at t_hat=1.73205" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+# Bounded draws, so no example can run long or exhaust memory: n <= 32, no
+# tiny dt or safety, and short horizons where every step is stored (only
+# pde_packet stores a bounded number of snapshots).  Each key also draws
+# values its rule refuses.
+_NS = st.sampled_from([4, 8, 12, 16, 32])
+_LENGTHS = st.one_of(st.floats(4.0, 200.0), st.sampled_from([0.0, -1.0, 1e-300]))
+_SMALL = st.floats(-1.0, 1.0)
+_SAFETY_DRAWS = st.one_of(st.floats(0.05, 1.2), st.sampled_from([0.0, -1.0]))
+_LAPLACIANS = st.sampled_from(["stencil", "spectral", "fourier"])
+_AMPLITUDES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1e100, 1e306]))
+_OPT_DT = st.one_of(st.none(), st.floats(0.01, 5.0))
+FUZZ_KEYS = {
+    "fig1": {
+        "A": _AMPLITUDES,
+        "horizon_tau": st.lists(st.floats(-1.0, 20.0), max_size=2),
+        "samples_per_period": st.integers(0, 64),
+    },
+    "dispersion_scan": {
+        "k_values": st.lists(st.floats(-2.0, 2.0), max_size=3),
+        "r": st.floats(-1.0, 4.0), "v": _SMALL, "n": _NS, "L": _LENGTHS,
+        "laplacian": _LAPLACIANS, "safety": _SAFETY_DRAWS,
+        "horizon_tau": st.floats(0.0, 10.0), "dt": _OPT_DT,
+        "allow_unstable": st.booleans(),
+    },
+    "regime_compare": {
+        "r": st.lists(st.floats(-0.1, 0.6), max_size=3), "v": _SMALL,
+        "horizon_tau": st.floats(0.0, 10.0), "n": _NS, "L": _LENGTHS,
+        "sigma0": st.floats(-1.0, 10.0), "laplacian": _LAPLACIANS,
+        "safety": _SAFETY_DRAWS,
+    },
+    "convergence": {
+        "dts": st.sampled_from([[4e-3, 2e-3, 1e-3], [0.1, 0.05, 0.025],
+                                [0.2, 0.1, 0.05, 0.025], [0.1, 0.05],
+                                [0.3, 0.2, 0.1], [1e-300, 5e-301, 2.5e-301]]),
+        "A": _AMPLITUDES,
+        "horizon_tau": st.sampled_from([0.0, 0.3, 1.0, 2.0, 10.0]),
+    },
+    "pde_packet": {
+        "form": st.sampled_from(["schrodinger", "full", "other"]),
+        "n": _NS, "L": _LENGTHS, "sigma0": st.floats(0.1, 20.0),
+        "r": st.floats(-1.0, 4.0), "v": st.one_of(_SMALL, st.just(1e10)),
+        "horizon_tau": st.one_of(st.none(), st.floats(0.0, 1000.0)),
+        "dt": _OPT_DT, "safety": _SAFETY_DRAWS, "laplacian": _LAPLACIANS,
+        "allow_unstable": st.booleans(), "samples": st.integers(0, 64),
+    },
+}
+FUZZ_RUNS = st.sampled_from(sorted(FUZZ_KEYS)).flatmap(
+    lambda sc: st.tuples(st.just(sc),
+                         st.fixed_dictionaries({}, optional=FUZZ_KEYS[sc])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=FUZZ_RUNS)
+def test_cli_exit_code_contract_holds_for_bounded_inputs(tmp_path_factory, run):
+    scenario, sets = run
+    out = tmp_path_factory.mktemp("fuzz")
+    argv = ["run", scenario, "--out", str(out)]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3)
+    assert (out / "manifest.json").exists() == (rc == 0)
+    assert rc == 0 or err.getvalue().startswith("error:")
