@@ -43,11 +43,7 @@ from .integrator import (
     TemporalState,
     Trajectory,
     convergence_order,
-    fit_exponential_rate,
-    integrate,
     integrate_uniform,
-    rhs_uniform,
-    rk4_step,
 )
 from .pde import (
     ComplexField,
@@ -87,9 +83,8 @@ __all__ = [
     "dispersion_branches", "dispersion_roots", "critical_wavenumber",
     "AllWavenumbersUnstableError",
     # integrator
-    "TemporalState", "Trajectory", "BlowUpError", "rhs_uniform", "rk4_step",
-    "integrate", "integrate_uniform", "convergence_order",
-    "fit_exponential_rate",
+    "TemporalState", "Trajectory", "BlowUpError", "integrate_uniform",
+    "convergence_order",
     # pde
     "Grid", "ComplexField", "FieldState", "PdeProblem", "EvolutionResult",
     "evolve", "stability_dt", "spectral_filter", "gaussian_packet",

@@ -44,6 +44,11 @@ MAX_STEPS = 2**63 - 1
 # 256-point second-order run; 16 and 128 were slower.
 BLOCK_ROWS = 64
 
+# Cap on the bytes of stored samples one run may ask for: both components,
+# complex128, every stored row of every grid point.  A run above it is
+# refused before anything is allocated.
+MAX_SAMPLE_BYTES = 2**30
+
 # There is no compiled path; the constant stays for callers that record it.
 HAVE_NUMBA = False
 
@@ -52,10 +57,20 @@ def sample_steps(n_steps: int, stride: int) -> np.ndarray:
     """Step indices stored by the kernels: multiples of stride, plus the end."""
     if n_steps < 0 or stride < 1:
         raise ValueError("need n_steps >= 0 and stride >= 1")
-    steps = list(range(0, n_steps + 1, stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return np.asarray(steps, dtype=np.int64)
+    steps = np.arange(0, n_steps + 1, stride, dtype=np.int64)
+    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
+
+
+def check_sample_bytes(n_steps: int, stride: int, points: int) -> None:
+    """Refuse a run whose stored samples would exceed ``MAX_SAMPLE_BYTES``."""
+    if n_steps < 0 or stride < 1:
+        raise ValueError("need n_steps >= 0 and stride >= 1")
+    rows = -(-n_steps // stride) + 1  # the length of sample_steps(n_steps, stride)
+    need = 2 * 16 * points * rows
+    if need > MAX_SAMPLE_BYTES:
+        raise ValueError(f"{n_steps} steps stored every {stride} on {points} "
+                         f"point(s) need {need:.3g} bytes of samples, above the "
+                         f"cap of {MAX_SAMPLE_BYTES} bytes")
 
 
 def laplacian_eigenvalues(n: int, dx: float, mode: str) -> np.ndarray:
@@ -71,21 +86,6 @@ def laplacian_eigenvalues(n: int, dx: float, mode: str) -> np.ndarray:
     if mode == "stencil":
         return (2.0 / dx**2) * (1.0 - np.cos(k * dx))
     raise ValueError(f"unknown laplacian mode {mode!r}")
-
-
-def stencil_laplacian(values: np.ndarray, inv_dx2: float) -> np.ndarray:
-    """Second-order central-difference Laplacian on a periodic grid."""
-    return ((np.roll(values, 1) + np.roll(values, -1)) - 2.0 * values) * inv_dx2
-
-
-def make_spectral_laplacian(n: int, dx: float):
-    """Exact Laplacian (multiplication by -k^2 in Fourier space)."""
-    neg_k2 = -laplacian_eigenvalues(n, dx, "spectral")
-
-    def lap(values: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(neg_k2 * np.fft.fft(values))
-
-    return lap
 
 
 def _power(e: np.ndarray, s: int) -> np.ndarray:
@@ -189,6 +189,7 @@ def _run_field(a, initial, dt, n_steps, stride):
     ``initial`` holds the d starting components.  In the first-order limit
     (d = 1) the second returned component is dpsi_dt = a psi.
     """
+    check_sample_bytes(n_steps, stride, a.shape[0])
     steps = sample_steps(n_steps, stride)
     d = a.shape[-1]
     out = np.empty((2, len(steps), a.shape[0]), dtype=np.complex128)

@@ -21,6 +21,7 @@ at unstable modes unless ``allow_unstable`` is set.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -34,6 +35,11 @@ from .integrator import BlowUpError, _resolve_steps
 ArrayLike = Union[float, np.ndarray]
 
 LAPLACIAN_MODES = ("stencil", "spectral")
+
+# A grid's wavenumbers, from 2 pi / length up to the Nyquist pi / dx, lie in
+# this range, so every Laplacian eigenvalue (at most their square) is a
+# finite, normal float.
+_WAVENUMBER_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
 
 def _check_laplacian_mode(mode: str) -> None:
@@ -53,6 +59,10 @@ class Grid:
             raise ValueError(f"n must be a power of two >= 8, got {self.n!r}")
         if not math.isfinite(self.length) or self.length <= 0.0:
             raise ValueError("length must be positive and finite")
+        low, high = _WAVENUMBER_RANGE
+        if not (low <= 2.0 * math.pi / self.length and math.pi / self.dx <= high):
+            raise ValueError(f"length {self.length!r} on {self.n} points puts the "
+                             f"grid's wavenumbers outside [{low:.3g}, {high:.3g}]")
 
     @property
     def dx(self) -> float:
@@ -110,13 +120,6 @@ class FieldState:
     @classmethod
     def uniform(cls, grid: Grid, psi: complex, dpsi_dt: complex) -> "FieldState":
         return cls(ComplexField.constant(grid, psi), ComplexField.constant(grid, dpsi_dt))
-
-
-def _laplacian_values(values: np.ndarray, grid: Grid, mode: str) -> np.ndarray:
-    _check_laplacian_mode(mode)
-    if mode == "spectral":
-        return kernels.make_spectral_laplacian(grid.n, grid.dx)(values)
-    return kernels.stencil_laplacian(values, 1.0 / grid.dx**2)
 
 
 def stability_dt(coeffs: CanonicalCoefficients, grid: Grid, safety: float = 0.7,
@@ -327,10 +330,12 @@ def schrodinger_consistent_state(psi: ComplexField, coeffs: CanonicalCoefficient
     Starting a packet with this derivative keeps the fast branch
     unexcited, so the run follows Schrodinger-like dynamics; any other
     choice mixes in oscillation at twice the reference frequency.  The
-    derivative uses the same discrete operator as the evolution.
+    derivative applies the evolution's discrete Laplacian mode by mode,
+    through its eigenvalues.
     """
-    lap = _laplacian_values(psi.values, psi.grid, laplacian_mode)
-    phi = 1j * (0.5 * coeffs.a_xx * lap - coeffs.v * psi.values)
+    lam = psi.grid.laplacian_eigenvalues(laplacian_mode)
+    rate = 1j * (-0.5 * coeffs.a_xx * lam - coeffs.v)
+    phi = np.fft.ifft(rate * np.fft.fft(psi.values))
     return FieldState(psi, ComplexField(phi, psi.grid))
 
 

@@ -37,9 +37,11 @@ from .constants import PhysicalConstants, derive_scales
 from .integrator import (
     TemporalState,
     UnderflowError,
+    _resolve_steps,
     convergence_order,
     integrate_uniform,
 )
+from .kernels import check_sample_bytes
 from .pde import (
     LAPLACIAN_MODES,
     FieldState,
@@ -379,6 +381,9 @@ def format_planck_report(numbers: dict) -> str:
 _FIG1_ERROR_TARGET = 1e-7
 _FIG1_ERROR_RATE = 0.27  # measured max-error growth per unit time at dt = 1
 _ROGUE_BUDGET = 25.0  # max growth-rate * window for round-off-seeded modes
+# Least phase (or log-growth) a probed mode must advance over the window, in
+# rad: below it the measured change is round-off and the fit reads noise.
+_MIN_PHASE_ADVANCE = 1e-9
 
 
 def _fig1_dt(horizon: float, amplitude: float, interval: float) -> tuple[float, int]:
@@ -423,11 +428,12 @@ def _run_fig1(params: dict) -> tuple[list[OutputFile], dict]:
 def _refused(fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, with its refusals as configuration errors.
 
-    For the planning calls -- ``PdeProblem`` (dt above the stability bound,
-    content at unstable modes), ``stability_dt``, ``_step_plan`` and
-    ``integrate_uniform`` (frequencies or step counts beyond the float or
-    int64 range) -- a ValueError means the inputs ask for a run that cannot
-    be made.
+    For the planning calls (``Grid``, ``stability_dt``, ``_step_plan``,
+    ``_resolve_steps``, ``check_sample_bytes``, ``PdeProblem`` and
+    ``integrate_uniform``) a ValueError means the inputs ask for a run that
+    cannot be made: a size beyond the float or int64 range, a horizon that
+    is not whole steps, stored samples above ``kernels.MAX_SAMPLE_BYTES``,
+    dt above the stability bound or content at unstable modes.
     """
     try:
         return fn(*args, **kwargs)
@@ -436,7 +442,7 @@ def _refused(fn, *args, **kwargs):
 
 
 def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
-    grid = Grid(params["n"], params["L"])
+    grid = _refused(Grid, params["n"], params["L"])
     lap_mode = params["laplacian"]
     coeffs = reduce_equation(
         EquationParameters(params["r"], params["v"], EquationForm.FULL))
@@ -455,6 +461,7 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     if dt_max is None:
         dt_max = _refused(stability_dt, coeffs, grid, params["safety"], lap_mode)
     dt, n_steps = _refused(_step_plan, window, dt_max, min_steps=16)
+    _refused(check_sample_bytes, n_steps, 1, grid.n)
     rows = []
     for k_req in params["k_values"]:
         mode = k_req * grid.length / (2.0 * math.pi)
@@ -466,6 +473,12 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
             grid, j, coeffs, "minus", lap_mode)
         omega_p_exact, omega_m_exact = dispersion_branches(coeffs, k_snap**2)
         mode_stable = abs(omega_m_d.imag) <= 1e-14
+        rate = abs(omega_m_d) if mode_stable else abs(omega_p_d.imag)
+        if rate > 0.0 and rate * window < _MIN_PHASE_ADVANCE:
+            raise ConfigError(
+                f"k_hat={k_snap:.6g} advances {rate * window:.3g} rad over the "
+                f"{window:.6g}-long window, below the {_MIN_PHASE_ADVANCE:g} rad "
+                "a fit can measure; lengthen horizon_tau")
         if k_snap == 0.0:
             resolved = 1
         else:
@@ -512,7 +525,7 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
 
 
 def _run_regime_compare(params: dict) -> tuple[list[OutputFile], dict]:
-    grid = Grid(params["n"], params["L"])
+    grid = _refused(Grid, params["n"], params["L"])
     lap_mode = params["laplacian"]
     horizon = params["horizon_tau"]
     uniform_initial = FieldState.uniform(grid, 0.0, 2.0j)
@@ -525,7 +538,8 @@ def _run_regime_compare(params: dict) -> tuple[list[OutputFile], dict]:
             EquationParameters(r, params["v"], EquationForm.MACROSCOPIC))
         dt_max = min(_refused(stability_dt, c, grid, params["safety"], lap_mode)
                      for c in (full, macro))
-        dt, _ = _refused(_step_plan, horizon, dt_max, min_steps=8)
+        dt, n_steps = _refused(_step_plan, horizon, dt_max, min_steps=8)
+        _refused(check_sample_bytes, n_steps, 1, grid.n)
         dts.append(dt)
         packet_initial = schrodinger_consistent_state(packet_psi, full, lap_mode)
         distances = []
@@ -555,9 +569,7 @@ def _run_convergence(params: dict) -> tuple[list[OutputFile], dict]:
     initial = TemporalState(0.0 + 0.0j, 2j * amplitude)
     pairs = []
     for dt in dts:
-        n_steps = int(round(horizon / dt))
-        if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * horizon:
-            raise ConfigError(f"horizon_tau must be a whole number of dt={dt} steps")
+        n_steps = _refused(_resolve_steps, horizon, dt)
         stride = max(1, n_steps // 1000)
         traj = _refused(integrate_uniform, initial, 0.0, horizon, dt,
                         sample_stride=stride)
@@ -578,7 +590,7 @@ def _run_convergence(params: dict) -> tuple[list[OutputFile], dict]:
 
 def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
     form = params["form"]
-    grid = Grid(params["n"], params["L"])
+    grid = _refused(Grid, params["n"], params["L"])
     lap_mode = params["laplacian"]
     r, v = params["r"], params["v"]
     if form == "full":
@@ -598,6 +610,7 @@ def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
         dt_max = _refused(stability_dt, coeffs, grid, params["safety"], lap_mode)
     dt, n_steps = _refused(_step_plan, horizon, dt_max)
     stride = max(1, n_steps // params["samples"])
+    _refused(check_sample_bytes, n_steps, stride, grid.n)
     psi0 = gaussian_packet(grid, sigma0)
     initial = schrodinger_consistent_state(psi0, coeffs, lap_mode)
     problem = _refused(PdeProblem, coeffs, grid, initial, t_end=horizon,

@@ -9,12 +9,9 @@ from nsblab.integrator import (
     TemporalState,
     Trajectory,
     convergence_order,
-    fit_exponential_rate,
-    integrate,
     integrate_uniform,
-    rhs_uniform,
-    rk4_step,
 )
+from nsblab.pde import fit_mode_growth
 
 SPEC = FreeSolutionSpec.zero_initial(1.0)
 INITIAL = TemporalState(0.0 + 0.0j, 2.0j)
@@ -23,21 +20,6 @@ INITIAL = TemporalState(0.0 + 0.0j, 2.0j)
 # the free problem (the largest eigenvalue is 2i, so the local error per
 # step is ~ (2 dt)^5/120 and C comes out just below 0.27).
 ERROR_RATE = 0.27
-
-
-def free_rhs(state):
-    return rhs_uniform(state, 0.0)
-
-
-def test_rhs_uniform_values():
-    d = rhs_uniform(TemporalState(0.0, 2.0j), 0.0)
-    assert d.psi == 2.0j
-    assert d.dpsi_dt == pytest.approx(4.0 + 0.0j, abs=1e-15)
-    d = rhs_uniform(TemporalState(1.0, 0.0), 0.5)
-    assert d.psi == 0.0
-    assert d.dpsi_dt == pytest.approx(1.0 + 0.0j, abs=1e-15)
-    d = rhs_uniform(TemporalState(0.0, 0.0), 0.3)
-    assert d.psi == 0.0 and d.dpsi_dt == 0.0
 
 
 def test_state_must_be_finite():
@@ -49,12 +31,12 @@ def test_state_must_be_finite():
 
 def test_single_step_matches_analytic():
     dt = 1e-3
-    out = rk4_step(INITIAL, free_rhs, dt)
+    out = integrate_uniform(INITIAL, 0.0, dt, dt).final_state
     assert out.psi == pytest.approx(free_solution(SPEC, dt), abs=1e-14)
 
 
 def test_zero_state_is_fixed_point():
-    out = rk4_step(TemporalState(0.0, 0.0), free_rhs, 0.1)
+    out = integrate_uniform(TemporalState(0.0, 0.0), 0.0, 0.1, 0.1).final_state
     assert out.psi == 0.0 and out.dpsi_dt == 0.0
 
 
@@ -62,33 +44,21 @@ def test_step_error_ratio_is_fourth_order():
     t_end = 1.0
     errs = []
     for dt in (0.1, 0.05):
-        state = INITIAL
-        for _ in range(int(round(t_end / dt))):
-            state = rk4_step(state, free_rhs, dt)
+        state = integrate_uniform(INITIAL, 0.0, t_end, dt).final_state
         errs.append(abs(state.psi - free_solution(SPEC, t_end)))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.25)
 
 
-def test_rk4_step_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        rk4_step(INITIAL, free_rhs, 0.0)
-    with pytest.raises(ValueError):
-        rk4_step(INITIAL, free_rhs, -1e-3)
+def test_integrate_uniform_rejects_bad_dt():
+    for dt in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            integrate_uniform(INITIAL, 0.0, 1.0, dt)
 
 
 def test_integrate_long_horizon_accuracy():
     traj = integrate_uniform(INITIAL, 0.0, 100.0, 1e-3, sample_stride=100)
     exact = free_solution(SPEC, traj.times)
     assert np.max(np.abs(traj.psis - exact)) < 1e-8
-
-
-def test_integrate_generic_matches_kernel_path():
-    kwargs = dict(t_end=2.0, dt=1e-3, sample_stride=50)
-    a = integrate(INITIAL, free_rhs, **kwargs)
-    b = integrate_uniform(INITIAL, 0.0, **kwargs)
-    assert np.array_equal(a.times, b.times)
-    assert np.max(np.abs(a.psis - b.psis)) < 1e-12
-    assert np.max(np.abs(a.dpsis_dt - b.dpsis_dt)) < 1e-12
 
 
 def test_trajectory_shape_and_endpoints():
@@ -142,7 +112,8 @@ def test_error_model_over_long_horizon():
 def test_unstable_potential_growth_rate():
     # v = 1 has a growing branch with rate Re gamma = 1
     traj = integrate_uniform(INITIAL, 1.0, 20.0, 1e-3, sample_stride=100)
-    rate = fit_exponential_rate(traj.times, np.abs(traj.psis))
+    half = len(traj) // 2  # the decaying branch has left the trailing half
+    rate = fit_mode_growth(traj.times[half:], traj.psis[half:])
     assert rate == pytest.approx(1.0, rel=0.02)
 
 
@@ -152,12 +123,6 @@ def test_blow_up_reported_with_time():
         integrate_uniform(INITIAL, 0.0, 20000.0, 2.0, sample_stride=1)
     assert info.value.time > 0.0
     assert "blew up" in str(info.value)
-
-
-def test_blow_up_generic_path():
-    with pytest.raises(BlowUpError):
-        integrate(INITIAL, lambda s: rhs_uniform(s, 0.0), 20000.0, 2.0,
-                  sample_stride=1)
 
 
 def test_convergence_order_synthetic():

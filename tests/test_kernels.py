@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from nsblab import kernels
 from nsblab.analytic import CanonicalCoefficients
-from nsblab.integrator import BlowUpError, TemporalState, integrate, rhs_uniform
 from nsblab.pde import Grid, stability_dt
 
 
@@ -17,14 +16,22 @@ def random_state(n, seed, scale=0.1):
 
 
 # --------------------------------------------------------------------------
-# Reference: classical RK4 stepped in physical space, one stage at a time.
+# Reference: classical RK4 stepped in physical space, one stage at a time,
+# with Laplacians built here, so it shares no code with the propagator.
 # --------------------------------------------------------------------------
 
 
 def _operator(n, dx, mode):
+    """The periodic Laplacian: central differences, or -k^2 in Fourier space."""
     if mode == "spectral":
-        return kernels.make_spectral_laplacian(n, dx)
-    return lambda a: kernels.stencil_laplacian(a, 1.0 / (dx * dx))
+        neg_k2 = -(2.0 * np.pi * np.fft.fftfreq(n, d=dx)) ** 2
+        return lambda a: np.fft.ifft(neg_k2 * np.fft.fft(a))
+    inv_dx2 = 1.0 / (dx * dx)
+    return lambda a: ((np.roll(a, 1) + np.roll(a, -1)) - 2.0 * a) * inv_dx2
+
+
+def _zero_operator(a):
+    return 0.0
 
 
 def _check_snapshot(out_psi, out_phi, psi, phi, wrote):
@@ -101,8 +108,10 @@ def reference_second_order(psi0, phi0, a_xx, a_tt, v, dx, dt, n_steps, stride,
     steps = kernels.sample_steps(n_steps, stride)
     out_psi = np.empty((len(steps), len(psi0)), dtype=np.complex128)
     out_phi = np.empty_like(out_psi)
-    wrote, _ = _telegraph_rk4_numpy(_operator(len(psi0), dx, laplacian),
-                                    out_psi, out_phi, psi0, phi0, a_xx,
+    # Without a spatial term the operator drops out; skipping it keeps the
+    # one-point runs below fast.
+    lap = _operator(len(psi0), dx, laplacian) if a_xx else _zero_operator
+    wrote, _ = _telegraph_rk4_numpy(lap, out_psi, out_phi, psi0, phi0, a_xx,
                                     1.0 / a_tt, v, dt, n_steps, stride)
     return out_psi[:wrote], out_phi[:wrote], steps[:wrote]
 
@@ -119,9 +128,12 @@ def reference_first_order(psi0, a_xx, v, dx, dt, n_steps, stride, laplacian):
 
 
 def reference_uniform(psi0, phi0, v, dt, n_steps, stride):
-    traj = integrate(TemporalState(psi0, phi0), lambda s: rhs_uniform(s, v),
-                     n_steps * dt, dt, stride)
-    return traj.psis, traj.dpsis_dt, kernels.sample_steps(n_steps, stride)
+    """The uniform system: the second-order reference on a one-point grid
+    with a_xx = 0 and a_tt = 1."""
+    psis, phis, steps = reference_second_order(
+        np.array([psi0], dtype=np.complex128), np.array([phi0], dtype=np.complex128),
+        0.0, 1.0, v, 1.0, dt, n_steps, stride, "stencil")
+    return psis[:, 0], phis[:, 0], steps
 
 
 def reference_blow_slot(psis, phis):
@@ -148,39 +160,54 @@ def test_sample_steps_layout():
     assert list(kernels.sample_steps(10, 1)) == list(range(11))
     assert list(kernels.sample_steps(10, 4)) == [0, 4, 8, 10]
     assert list(kernels.sample_steps(12, 4)) == [0, 4, 8, 12]
+    big = kernels.MAX_STEPS - 1
+    assert list(kernels.sample_steps(big, 2**62)) == [0, 2**62, big]
     with pytest.raises(ValueError):
         kernels.sample_steps(-1, 1)
     with pytest.raises(ValueError):
         kernels.sample_steps(5, 0)
 
 
+def test_stored_samples_are_capped_before_allocation():
+    # two complex128 components per stored row and grid point
+    rows = kernels.MAX_SAMPLE_BYTES // 32
+    kernels.check_sample_bytes(rows - 1, 1, 1)
+    kernels.check_sample_bytes(2 * rows - 2, 2, 1)
+    for n_steps, stride, points in [(rows, 1, 1), (rows // 4, 1, 4), (-1, 1, 1),
+                                    (5, 0, 1)]:
+        with pytest.raises(ValueError):
+            kernels.check_sample_bytes(n_steps, stride, points)
+    with pytest.raises(ValueError, match="bytes"):  # 32 TB of samples
+        kernels.run_uniform(0.0j, 2.0j, 0.0, 1e-3, 10**12, 1)
+
+
 def test_stencil_laplacian_constant_is_zero():
-    vals = np.full(16, 2.0 - 1.0j)
-    out = kernels.stencil_laplacian(vals, 4.0)
-    assert np.max(np.abs(out)) == 0.0
+    n, dx = 16, 0.5
+    vals = np.full(n, 2.0 - 1.0j)
+    assert np.max(np.abs(_operator(n, dx, "stencil")(vals))) == 0.0
+    assert kernels.laplacian_eigenvalues(n, dx, "stencil")[0] == 0.0
+
+
+def assert_plane_waves_are_eigenvectors(mode, modes):
+    # exp(i k_j xi) is an eigenvector of the operator, with eigenvalue -lam[j]
+    n, length = 64, 8.0
+    dx = length / n
+    x = np.arange(n) * dx
+    lam = kernels.laplacian_eigenvalues(n, dx, mode)
+    for j in modes:
+        wave = np.exp(1j * 2.0 * np.pi * j / length * x)
+        out = _operator(n, dx, mode)(wave)
+        eig = lam[j % n]
+        assert eig > 0.0
+        assert np.max(np.abs(out + eig * wave)) < 1e-11 * eig
 
 
 def test_stencil_laplacian_mode_eigenvalue():
-    n, length = 64, 8.0
-    dx = length / n
-    x = np.arange(n) * dx
-    for j in (1, 3, 7):
-        k = 2.0 * np.pi * j / length
-        mode = np.exp(1j * k * x)
-        out = kernels.stencil_laplacian(mode, 1.0 / dx**2)
-        eig = -(2.0 / dx**2) * (1.0 - np.cos(k * dx))
-        assert np.max(np.abs(out - eig * mode)) < 1e-11 * abs(eig)
+    assert_plane_waves_are_eigenvectors("stencil", (1, 3, 7, -5, 32))
 
 
 def test_spectral_laplacian_mode_eigenvalue():
-    n, length = 64, 8.0
-    dx = length / n
-    lap = kernels.make_spectral_laplacian(n, dx)
-    x = np.arange(n) * dx
-    k = 2.0 * np.pi * 5 / length
-    mode = np.exp(1j * k * x)
-    out = lap(mode)
-    assert np.max(np.abs(out + k * k * mode)) < 1e-12 * k * k
+    assert_plane_waves_are_eigenvectors("spectral", (1, 5, -9, 32))
 
 
 def test_laplacian_eigenvalues_rejects_unknown_mode():
@@ -240,7 +267,7 @@ def test_propagator_matches_reference(order, laplacian, n_steps, stride):
 
 
 @settings(max_examples=60, deadline=None)
-@given(order=st.sampled_from(["first", "second"]),
+@given(order=st.sampled_from(["first", "second", "uniform"]),
        laplacian=st.sampled_from(["stencil", "spectral"]),
        n=st.sampled_from([8, 16, 32, 64]),
        dx_scale=st.floats(1.1, 3.0),
@@ -253,12 +280,17 @@ def test_propagator_matches_reference(order, laplacian, n_steps, stride):
 def test_propagator_matches_reference_property(order, laplacian, n, dx_scale, r,
                                                v, safety, n_steps, stride, seed):
     # dx at least pi / k_crit keeps every mode of either Laplacian stable.
+    # The uniform case is the one-point grid without a spatial term.
     dx = dx_scale * np.pi / np.sqrt((1.0 - 2.0 * v) / r)
-    a_tt = 1.0 if order == "second" else 0.0
-    coeffs = CanonicalCoefficients(a_xx=r, a_tt=a_tt, v=v)
+    a_xx = 0.0 if order == "uniform" else r
+    a_tt = 0.0 if order == "first" else 1.0
+    coeffs = CanonicalCoefficients(a_xx=a_xx, a_tt=a_tt, v=v)
     dt = stability_dt(coeffs, Grid(n, n * dx), safety, laplacian)
     psi, phi = random_state(n, seed)
-    if order == "second":
+    if order == "uniform":
+        got = kernels.run_uniform(psi[0], phi[0], v, dt, n_steps, stride)
+        want = reference_uniform(psi[0], phi[0], v, dt, n_steps, stride)
+    elif order == "second":
         got = kernels.run_field_second_order(psi, phi, r, 1.0, v, dx, dt,
                                              n_steps, stride, laplacian)
         want = reference_second_order(psi, phi, r, 1.0, v, dx, dt, n_steps,
@@ -299,12 +331,15 @@ def test_rerun_is_bit_identical():
 
 def test_uniform_kernel_blow_up_slot():
     psis, phis, steps, blow = kernels.run_uniform(0.0j, 2.0j, 0.0, 2.0, 5000, 1)
-    assert blow >= 0
+    assert blow >= 1
     last = psis[blow]
     assert not np.isfinite(last) or abs(last) >= kernels.BLOWUP_MAGNITUDE
-    with pytest.raises(BlowUpError) as info:
-        reference_uniform(0.0j, 2.0j, 0.0, 2.0, 5000, 1)
-    assert steps[blow] * 2.0 == info.value.time
+    with np.errstate(all="ignore"):  # the reference overflows as it blows up
+        want = reference_uniform(0.0j, 2.0j, 0.0, 2.0, 5000, 1)
+    assert blow == reference_blow_slot(want[0], want[1])
+    assert np.array_equal(steps, want[2][:blow + 1])
+    assert_close(psis[:blow], want[0][:blow])
+    assert_close(phis[:blow], want[1][:blow])
 
 
 def run_both(order, laplacian, psi, phi, dx, dt, n_steps, stride):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nsblab import kernels
 from nsblab.analytic import (
     CanonicalCoefficients,
     EquationForm,
@@ -52,6 +51,13 @@ def test_grid_validation():
         Grid(16, 0.0)
     with pytest.raises(ValueError):
         Grid(16, -5.0)
+    # wavenumbers beyond the float range: the stencil eigenvalues would divide
+    # by an underflowed dx^2, overflow, or come out as NaN
+    for length in (1e-300, 1e300, 1e-160):
+        with pytest.raises(ValueError):
+            Grid(8, length).laplacian_eigenvalues("stencil")
+    for grid in (Grid(8, 1e100), Grid(8192, 1e-100)):  # the CLI's size range
+        assert np.all(np.isfinite(grid.laplacian_eigenvalues("stencil")))
 
 
 def test_grid_geometry():
@@ -88,20 +94,19 @@ def test_field_state_requires_shared_grid():
 
 
 def test_laplacian_of_constant_is_zero():
-    f = ComplexField.constant(Grid(32, 11.0), 1.5 - 0.5j)
-    stencil = kernels.stencil_laplacian(f.values, 1.0 / f.grid.dx**2)
-    spectral = kernels.make_spectral_laplacian(f.grid.n, f.grid.dx)(f.values)
-    assert np.max(np.abs(stencil)) == 0.0
-    assert np.max(np.abs(spectral)) == 0.0
+    # the constant is mode 0; both operators map it to zero
+    g = Grid(32, 11.0)
+    for mode in ("stencil", "spectral"):
+        assert g.laplacian_eigenvalues(mode)[0] == 0.0
 
 
 def test_stencil_laplacian_on_sine_second_order():
+    # k_eff^2 = k^2 (1 - (k dx)^2 / 12 + ...): second order in dx
     g = Grid(256, 1.0)
-    x = g.xi()
-    out = kernels.stencil_laplacian(np.sin(2.0 * math.pi * x), 1.0 / g.dx**2)
-    want = -(2.0 * math.pi) ** 2 * np.sin(2.0 * math.pi * x)
-    rel = np.max(np.abs(out - want)) / np.max(np.abs(want))
+    k2 = (2.0 * math.pi) ** 2
+    rel = abs(g.laplacian_eigenvalues("stencil")[1] - k2) / k2
     assert rel < 1e-3
+    assert rel == pytest.approx((2.0 * math.pi * g.dx) ** 2 / 12.0, rel=1e-3)
 
 
 def test_stencil_eigenvalue_exact_per_mode():
@@ -470,6 +475,12 @@ def test_schrodinger_consistent_state_matches_slow_branch():
     state = schrodinger_consistent_state(psi, FULL_R1, "spectral")
     omega_schro = 0.5 * k * k
     want = -1j * omega_schro * psi.values
+    assert np.max(np.abs(state.dpsi_dt.values - want)) < 1e-12
+    # the stencil pairs each mode with its own eigenvalue, and v shifts it
+    coeffs = CanonicalCoefficients(a_xx=1.0, a_tt=1.0, v=0.2)
+    state = schrodinger_consistent_state(psi, coeffs, "stencil")
+    lam = g.laplacian_eigenvalues("stencil")[j]
+    want = -1j * (0.5 * lam + 0.2) * psi.values
     assert np.max(np.abs(state.dpsi_dt.values - want)) < 1e-12
 
 

@@ -201,6 +201,27 @@ def test_dispersion_scan_growth_row_needs_override(tmp_path):
     assert growth_measured == pytest.approx(growth_analytic, rel=0.02)
 
 
+def test_dispersion_scan_refuses_windows_too_short_to_measure(tmp_path):
+    # omega_minus(0.125) ~ 7.8e-3: a 1e-7 window advances the phase by
+    # 7.8e-10 rad, below the floor, and a 1e-6 window by 7.8e-9 rad
+    with pytest.raises(ConfigError, match="rad"):
+        run_scenario("dispersion_scan", {"k_values": [0.125], "horizon_tau": 1e-7},
+                     out_dir=tmp_path)
+    # a growing mode is held to the same floor through its growth rate
+    with pytest.raises(ConfigError, match="rad"):
+        run_scenario("dispersion_scan", {"k_values": [1.25], "horizon_tau": 1e-10,
+                                         "allow_unstable": True}, out_dir=tmp_path)
+    run_scenario("dispersion_scan", {"k_values": [0.125], "horizon_tau": 1e-6},
+                 out_dir=tmp_path)
+    _, rows = read_csv(tmp_path / "dispersion_scan_modes.csv")
+    assert float(rows[0][3]) < 1e-6
+    # omega_minus(0) = 0 at v = 0: there is no phase to measure, so no floor
+    run_scenario("dispersion_scan", {"k_values": [0.0], "horizon_tau": 1e-100},
+                 out_dir=tmp_path)
+    _, rows = read_csv(tmp_path / "dispersion_scan_modes.csv")
+    assert float(rows[0][2]) == 0.0
+
+
 def test_dispersion_scan_rejects_overcritical_potential(tmp_path):
     with pytest.raises(ConfigError):
         run_scenario("dispersion_scan", {"v": 0.6}, out_dir=tmp_path)
@@ -474,6 +495,13 @@ INVALID_RUNS = [
     ("fig1", ["A=1e100"]),
     ("regime_compare", ["L=1e-100"]),
     ("dispersion_scan", ["n=8192", "L=1e-100", "r=1e100"]),
+    # stored samples above kernels.MAX_SAMPLE_BYTES, refused before any
+    # allocation
+    ("dispersion_scan", ["safety=1e-18", "horizon_tau=1"]),
+    ("regime_compare", ["safety=1e-9"]),
+    ("fig1", ["horizon_tau=[1e6]", "samples_per_period=4096"]),
+    # a window too short for any phase to be measured
+    ("dispersion_scan", ["horizon_tau=1e-100"]),
 ]
 
 
