@@ -41,7 +41,7 @@ from .integrator import (
     convergence_order,
     integrate_uniform,
 )
-from .kernels import check_sample_bytes
+from .kernels import MAX_SAMPLE_BYTES, check_sample_bytes
 from .pde import (
     LAPLACIAN_MODES,
     FieldState,
@@ -156,8 +156,10 @@ _DT = KeySpec("opt_float", None, f"explicit step, {_SIZE} (default: stability "
 
 
 def _grid_points(default: int) -> KeySpec:
-    return KeySpec("int", default, "grid points: a power of two, >= 8",
-                   lambda n: n >= 8 and n & (n - 1) == 0)
+    # 2^24: the largest grid whose start and end rows fit the sample cap
+    top = MAX_SAMPLE_BYTES // (2 * 2 * 16)  # rows x components x complex128
+    return KeySpec("int", default, f"grid points: a power of two in [8, {top}]",
+                   lambda n: 8 <= n <= top and n & (n - 1) == 0)
 
 
 def _positive_float(default: float, doc: str) -> KeySpec:
@@ -312,32 +314,37 @@ def parse_set_overrides(pairs: Iterable[str]) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.16e}"
+# Rows formatted per write, which bounds the Python objects alive at once.
+_CHUNK_ROWS = 1024
 
 
-def write_csv(path: Path, header: list[str], rows: Iterable[tuple]) -> int:
-    count = 0
+def write_csv(path: Path, header: list[str], columns: list) -> int:
+    """Write ``header`` and the rows of ``columns`` (equal lengths); return the
+    row count.  Integers are written ``%d``, other values ``%.16e`` or ``nan``."""
+    columns = [np.asarray(c) for c in columns]
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(c) != n_rows for c in columns):
+        raise ValueError("columns differ in length")
+    fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.16e" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-            count += 1
-    return count
+        for a in range(0, n_rows, _CHUNK_ROWS):
+            rows = zip(*(c[a:a + _CHUNK_ROWS].tolist() for c in columns))
+            fh.write("".join([fmt % row for row in rows]))
+    return n_rows
 
 
 @dataclass
 class OutputFile:
     name: str
     header: list[str]
-    rows: list[tuple]
+    columns: list  # equal-length arrays or sequences, one per CSV column
+
+
+def _parts(z: np.ndarray) -> list[np.ndarray]:
+    """Real part, imaginary part and magnitude of ``z``.  ``np.hypot`` gives
+    ``abs`` of each complex scalar bit for bit; ``np.abs`` can differ by an ulp."""
+    return [z.real, z.imag, np.hypot(z.real, z.imag)]
 
 
 def report_planck_numbers(constants: Optional[PhysicalConstants] = None) -> dict:
@@ -409,15 +416,11 @@ def _run_fig1(params: dict) -> tuple[list[OutputFile], dict]:
         traj = _refused(integrate_uniform, initial, 0.0, t_end, dt,
                         sample_stride=stride)
         exact = free_solution(spec, traj.times)
-        rows = [
-            (t, p.real, p.imag, abs(p), e.real, e.imag, abs(e))
-            for t, p, e in zip(traj.times, traj.psis, exact)
-        ]
         outputs.append(OutputFile(
             name=f"fig1_horizon{horizon:g}.csv",
             header=["t_over_tau", "re_psi", "im_psi", "abs_psi",
                     "re_psi_analytic", "im_psi_analytic", "abs_psi_analytic"],
-            rows=rows,
+            columns=[traj.times, *_parts(traj.psis), *_parts(exact)],
         ))
         runs.append({"horizon_tau": horizon, "dt": dt, "sample_stride": stride,
                      "n_steps": n_samples * stride})
@@ -516,7 +519,7 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
         header=["k_hat", "omega_minus_analytic", "omega_minus_measured",
                 "rel_err", "resolved", "growth_rate_analytic",
                 "growth_rate_measured"],
-        rows=rows,
+        columns=list(zip(*rows)),
     )]
     solver = {"dt": dt, "n_steps": n_steps, "window_tau": window,
               "window_capped": capped, "max_growth_rate_on_grid": s_max,
@@ -555,7 +558,7 @@ def _run_regime_compare(params: dict) -> tuple[list[OutputFile], dict]:
     outputs = [OutputFile(
         name="regime_compare_distances.csv",
         header=["r", "sup_distance_uniform", "sup_distance_packet"],
-        rows=rows,
+        columns=list(zip(*rows)),
     )]
     solver = {"dts": dts, "horizon_tau": horizon, "laplacian": lap_mode}
     return outputs, solver
@@ -582,7 +585,7 @@ def _run_convergence(params: dict) -> tuple[list[OutputFile], dict]:
     outputs = [OutputFile(
         name="convergence_errors.csv",
         header=["dt", "max_error"],
-        rows=pairs,
+        columns=list(zip(*pairs)),
     )]
     solver = {"fitted_order": order, "horizon_tau": horizon}
     return outputs, solver
@@ -630,16 +633,13 @@ def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
         else:
             expected, rel = float("nan"), float("nan")
         width_rows.append((t, measured, expected, rel))
-    xi = grid.xi()
-    last = result.psi[-1]
-    profile_rows = [(x, p.real, p.imag, abs(p)) for x, p in zip(xi, last)]
     outputs = [
         OutputFile("pde_packet_width.csv",
                    ["t_hat", "width_measured", "width_analytic", "rel_err"],
-                   width_rows),
+                   list(zip(*width_rows))),
         OutputFile("pde_packet_profile.csv",
                    ["xi_hat", "re_psi", "im_psi", "abs_psi"],
-                   profile_rows),
+                   [grid.xi(), *_parts(result.psi[-1])]),
     ]
     solver = {"form": form, "dt": dt, "n_steps": n_steps,
               "snapshot_stride": result.snapshot_stride, "horizon_tau": horizon,
@@ -734,7 +734,7 @@ def run_scenario(scenario: str, params: Optional[dict] = None,
     manifest_path.unlink(missing_ok=True)  # a stale manifest would vouch for new CSVs
     manifest_outputs = []
     for out in outputs:
-        rows = write_csv(out_path / out.name, out.header, out.rows)
+        rows = write_csv(out_path / out.name, out.header, out.columns)
         manifest_outputs.append({"path": out.name, "rows": rows})
     if plotscript:
         script_name = f"plot_{scenario}.gp"

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,75 @@ def test_parse_set_overrides():
         parse_set_overrides(["no_equals_sign"])
 
 
+# ------------------------------------------------------------- CSV writer
+
+
+def reference_row(row) -> str:
+    """One CSV line, one formatting call per value: the writer's reference."""
+    def fmt(value):
+        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+            return str(int(value))
+        x = float(value)
+        return "nan" if math.isnan(x) else f"{x:.16e}"
+
+    return ",".join(fmt(v) for v in row) + "\n"
+
+
+EDGE_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+               -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.0, -1.0]
+FLOAT64S = st.one_of(st.sampled_from(EDGE_FLOATS),
+                     st.floats(allow_nan=True, allow_infinity=True))
+INT64S = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def csv_tables(draw):
+    """(columns, rows): float64 and int64 columns of one drawn length."""
+    n_rows = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    columns = []
+    for is_int in kinds:
+        if is_int:
+            values = draw(st.lists(INT64S, min_size=n_rows, max_size=n_rows))
+            columns.append(np.array(values, dtype=np.int64))
+        else:
+            values = draw(st.lists(FLOAT64S, min_size=n_rows, max_size=n_rows))
+            columns.append(np.array(values, dtype=np.float64))
+    return columns, list(zip(*columns))
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=csv_tables())
+def test_write_csv_matches_per_value_formatting(tmp_path_factory, table):
+    columns, rows = table
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    header = [f"c{i}" for i in range(len(columns))]
+    assert scenarios.write_csv(path, header, columns) == len(rows)
+    expected = ",".join(header) + "\n" + "".join(reference_row(r) for r in rows)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_write_csv_spans_several_chunks(tmp_path):
+    n = 2 * scenarios._CHUNK_ROWS + 3
+    columns = [np.arange(n, dtype=np.int64), np.linspace(-1.0, 1.0, n) ** 3]
+    assert scenarios.write_csv(tmp_path / "t.csv", ["i", "x"], columns) == n
+    expected = "i,x\n" + "".join(reference_row(r) for r in zip(*columns))
+    assert (tmp_path / "t.csv").read_text(encoding="utf-8") == expected
+
+
+def test_write_csv_without_rows_writes_the_header_only(tmp_path):
+    columns = [np.empty(0), np.empty(0, dtype=np.int64)]
+    assert scenarios.write_csv(tmp_path / "t.csv", ["x", "i"], columns) == 0
+    assert (tmp_path / "t.csv").read_bytes() == b"x,i\n"
+
+
+def test_write_csv_refuses_columns_of_unequal_length(tmp_path):
+    with pytest.raises(ValueError):
+        scenarios.write_csv(tmp_path / "t.csv", ["x", "y"],
+                            [np.zeros(3), np.zeros(2)])
+
+
 # ------------------------------------------------------------- fig1 output
 
 
@@ -140,6 +210,9 @@ def test_fig1_outputs(tmp_path):
     data = np.array([[float(x) for x in row] for row in rows])
     err = np.hypot(data[:, 1] - data[:, 4], data[:, 2] - data[:, 5])
     assert np.max(err) < 1e-6
+    # each magnitude is abs() of its complex value, to the last bit
+    for re, im, mag in data[:, 1:4].tolist() + data[:, 4:7].tolist():
+        assert mag == abs(complex(re, im))
     # bounded oscillation
     assert np.min(data[:, 1]) >= -1e-6
     assert np.max(data[:, 1]) <= 2.0 + 1e-6
@@ -155,6 +228,22 @@ def test_fig1_row_count_follows_sampling_rule():
             out_dir=d)
     expected = math.floor(50.0 / (math.pi / 8.0)) + 1
     assert manifest["outputs"][0]["rows"] == expected
+
+
+def test_fig1_peak_allocation_per_stored_row(tmp_path):
+    # Seven float64 columns are 56 B a row, and the kernel stores 32 B more;
+    # a list of row tuples of Python floats took about 330 B a row.
+    run_scenario("fig1", {"horizon_tau": [20.0]}, out_dir=tmp_path)  # warm-up
+    tracemalloc.start()
+    try:
+        manifest = run_scenario("fig1", {"horizon_tau": [2000.0]},
+                                out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = manifest["outputs"][0]["rows"]
+    assert rows > 20000
+    assert peak / rows <= 200.0
 
 
 def test_fig1_rejects_zero_amplitude(tmp_path):
@@ -336,11 +425,11 @@ def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
     written = []
     real_write_csv = scenarios.write_csv
 
-    def fail_on_second_file(path, header, rows):
+    def fail_on_second_file(path, header, columns):
         written.append(path)
         if len(written) == 2:
             raise OSError("disk full")
-        return real_write_csv(path, header, rows)
+        return real_write_csv(path, header, columns)
 
     monkeypatch.setattr(scenarios, "write_csv", fail_on_second_file)
     with pytest.raises(OSError):
@@ -461,7 +550,7 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-# Each is refused before any CSV is written.  Sizes stay small: n and the
+# Each is refused before any CSV is written.  Sizes stay small: the
 # horizons have no resource cap, so unbounded values do not belong here.
 INVALID_RUNS = [
     ("pde_packet", ["n=100"]),
@@ -480,6 +569,9 @@ INVALID_RUNS = [
     ("fig1", ["A=NaN"]),
     ("regime_compare", ["n=100"]),
     ("regime_compare", ["sigma0=-1"]),
+    # grids above the 2^24 points whose start and end rows fit the sample cap
+    ("pde_packet", ["n=1073741824"]),
+    ("regime_compare", ["n=268435456"]),
     # checks across keys: dt above the grid's stability bound, and a
     # wavenumber beyond the grid's Nyquist mode
     ("dispersion_scan", ["n=32", "L=128", "dt=5", "k_values=[0.1]"]),
