@@ -23,7 +23,6 @@ from .analytic import (
     AllWavenumbersUnstableError,
     CanonicalCoefficients,
     CharacteristicRoots,
-    DispersionQuery,
     EquationForm,
     EquationParameters,
     FreeSolutionSpec,
@@ -32,10 +31,7 @@ from .analytic import (
     classify_regime,
     critical_wavenumber,
     dispersion_branches,
-    dispersion_roots,
     free_solution,
-    free_solution_derivative,
-    literal_coefficients,
     reduce_equation,
 )
 from .integrator import (
@@ -77,10 +73,10 @@ __all__ = [
     "to_dimensionless", "from_dimensionless",
     # analytic
     "Regime", "EquationForm", "EquationParameters", "CanonicalCoefficients",
-    "CharacteristicRoots", "DispersionQuery", "FreeSolutionSpec",
-    "classify_regime", "reduce_equation", "literal_coefficients",
-    "characteristic_roots", "free_solution", "free_solution_derivative",
-    "dispersion_branches", "dispersion_roots", "critical_wavenumber",
+    "CharacteristicRoots", "FreeSolutionSpec",
+    "classify_regime", "reduce_equation",
+    "characteristic_roots", "free_solution",
+    "dispersion_branches", "critical_wavenumber",
     "AllWavenumbersUnstableError",
     # integrator
     "TemporalState", "Trajectory", "BlowUpError", "integrate_uniform",

@@ -131,22 +131,6 @@ def reduce_equation(params: EquationParameters) -> CanonicalCoefficients:
     return CanonicalCoefficients(a_xx=params.r, a_tt=1.0, v=params.v)
 
 
-def literal_coefficients(params: EquationParameters) -> CanonicalCoefficients:
-    """Assemble the full form term by term, without pre-cancelling.
-
-    Spatial contributions: -r/2 (kinetic), -1/2 and +1/2 (the cancelling
-    pair).  Exists so tests can confirm the cancellation is exact at the
-    coefficient level; ``reduce_equation`` is the production path.
-    """
-    if params.form is not EquationForm.FULL:
-        raise ValueError("literal assembly is defined for the full form only")
-    # The pair is combined before mixing with the kinetic term so its exact
-    # cancellation survives floating-point evaluation.
-    cancelling_pair = -0.5 + 0.5
-    spatial = -0.5 * params.r + cancelling_pair
-    return CanonicalCoefficients(a_xx=-2.0 * spatial, a_tt=1.0, v=params.v)
-
-
 @dataclass(frozen=True)
 class CharacteristicRoots:
     """Roots of the uniform-solution quadratic, in 1/tau_p units.
@@ -209,27 +193,6 @@ def free_solution(spec: FreeSolutionSpec, t_hat: ArrayLike) -> ArrayLike:
     return out
 
 
-def free_solution_derivative(spec: FreeSolutionSpec, t_hat: ArrayLike) -> ArrayLike:
-    """Time derivative of :func:`free_solution` (handy for initial data)."""
-    t = np.asarray(t_hat, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t_hat must be non-negative")
-    out = -2j * spec.B * np.exp(-2j * t)
-    if np.isscalar(t_hat) or t.ndim == 0:
-        return complex(out)
-    return out
-
-
-@dataclass(frozen=True)
-class DispersionQuery:
-    params: EquationParameters
-    k_hat: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.k_hat):
-            raise ValueError("k_hat must be finite")
-
-
 def dispersion_branches(
     coeffs: CanonicalCoefficients, k_sq: ArrayLike
 ) -> tuple[ArrayLike, ArrayLike]:
@@ -239,7 +202,8 @@ def dispersion_branches(
     the equation is first order in time and the single branch
     omega = (a_xx/2) k^2 + v is returned in both slots.  For a negative
     discriminant omega_plus is the branch with positive imaginary part,
-    i.e. the growing mode of exp(-i omega t).
+    i.e. the growing mode of exp(-i omega t).  omega_minus is the slow,
+    Schrodinger-like branch; omega_plus the fast one (2/tau_p at k = v = 0).
     """
     ksq = np.asarray(k_sq, dtype=float)
     scalar = np.isscalar(k_sq) or ksq.ndim == 0
@@ -256,17 +220,6 @@ def dispersion_branches(
     if scalar:
         return complex(plus), complex(minus)
     return plus, minus
-
-
-def dispersion_roots(query: DispersionQuery) -> tuple[complex, complex]:
-    """Plane-wave frequencies (omega_plus, omega_minus) for one wavenumber.
-
-    omega_minus is the branch that reduces to the Schrodinger relation
-    (r/2) k^2 + v for small r k^2 + 2v; omega_plus is the fast branch that
-    tends to 2/tau_p as k -> 0, v -> 0.
-    """
-    coeffs = reduce_equation(query.params)
-    return dispersion_branches(coeffs, query.k_hat**2)
 
 
 def critical_wavenumber(params: EquationParameters) -> float:

@@ -152,6 +152,7 @@ def _propagate(a: np.ndarray, spectra: np.ndarray, dt: float, n_steps: int,
                 e, m = doubled, 2 * m
             else:
                 cap = m
+    e = doubled = None  # freed before the partial stride's update is formed
     if n_steps % stride:
         _advance(spectra, _power(step, n_steps % stride), rows - 1, rows, 1)
 

@@ -14,8 +14,9 @@ A physical fact worth keeping in mind: for a_xx > 0 every wavenumber above
 never silences it -- grids whose resolvable modes extend beyond the critical
 wavenumber will amplify even round-off-level content at those modes, so
 long runs should either keep max |k| below critical or accept (and budget
-for) that growth.  Problem construction refuses initial data with content
-at unstable modes unless ``allow_unstable`` is set.
+for) that growth.  A ``PdeProblem`` refuses a horizon beyond the growth
+budget, and ``evolve`` refuses initial data with content at unstable
+modes, unless ``allow_unstable`` is set.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from . import kernels
 from .analytic import CanonicalCoefficients, dispersion_branches
-from .integrator import BlowUpError, _resolve_steps
+from .integrator import BlowUpError
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -151,82 +152,134 @@ def stability_dt(coeffs: CanonicalCoefficients, grid: Grid, safety: float = 0.7,
 
 def _step_plan(horizon: float, dt_max: float, min_steps: int = 1) -> tuple[float, int]:
     """(dt, n_steps): the fewest whole steps, at least ``min_steps``, that
-    reach ``horizon`` exactly with ``dt <= dt_max``."""
+    reach ``horizon`` exactly with ``dt <= dt_max``; a ``dt_max`` dividing
+    ``horizon`` to within 1e-9 (as ``integrator._resolve_steps`` allows)
+    keeps that count, so ``horizon / n`` gives n steps despite round-off."""
+    if horizon == 0.0:
+        return dt_max, 0
     if not horizon / dt_max < kernels.MAX_STEPS:
         raise ValueError(f"horizon {horizon!r} needs more than "
                          f"{kernels.MAX_STEPS} steps of at most {dt_max!r}")
-    n_steps = max(min_steps, math.ceil(horizon / dt_max))
+    n_steps = round(horizon / dt_max)
+    if abs(n_steps * dt_max - horizon) > 1e-9 * max(dt_max, horizon):
+        n_steps = math.ceil(horizon / dt_max)
+    n_steps = max(min_steps, n_steps)
     return horizon / n_steps, n_steps
 
 
-def _unstable_mode_mask(coeffs: CanonicalCoefficients, grid: Grid,
-                        laplacian: str) -> np.ndarray:
-    eigs = grid.laplacian_eigenvalues(laplacian)
-    plus, _ = dispersion_branches(coeffs, eigs)
-    return np.atleast_1d(plus).imag > 1e-14
+# Largest growth rate x horizon a run may carry: modes above the critical
+# wavenumber amplify round-off by e^(rate t), and e^25 keeps round-off seeded
+# at 1e-16 below 1e-5 of the data.
+_ROGUE_BUDGET = 25.0
+
+
+def growth_rates(coeffs: CanonicalCoefficients, grid: Grid,
+                 laplacian: str) -> np.ndarray:
+    """Growth rate Im omega_plus of each of the grid's modes, in fft order."""
+    plus, _ = dispersion_branches(coeffs, grid.laplacian_eigenvalues(laplacian))
+    return np.atleast_1d(plus).imag
+
+
+def growth_horizon(rate: float) -> float:
+    """Longest horizon over which growth at ``rate`` stays within the
+    round-off budget (inf when nothing grows)."""
+    return _ROGUE_BUDGET / rate if rate > 0.0 else math.inf
+
+
+# Bytes a field run allocates per grid point, measured with tracemalloc
+# (numpy 2.4) plus a margin: 40 per stored row (two complex128 components
+# and one float64 row of magnitudes for the blow-up scan and the
+# diagnostics), and the work arrays of the first- or second-order system:
+# its eigenvalues, one d x d matrix per mode and the temporaries of R^s.
+_ROW_BYTES = 40
+_WORK_BYTES = {1: 128, 2: 400}
+
+
+def run_bytes(points: int, rows: int, order: int) -> int:
+    """Bytes of every array a field run of ``order`` (1 or 2) allocates on
+    ``points`` grid points while storing ``rows`` snapshots."""
+    return points * (_ROW_BYTES * rows + _WORK_BYTES[order])
+
+
+def _auto_stride(n_steps: int, target_snapshots: int = 512) -> int:
+    return max(1, n_steps // target_snapshots)
 
 
 @dataclass(frozen=True, eq=False)
 class PdeProblem:
-    """One fully specified evolution run.
+    """The plan of one evolution run, made and checked before any field exists.
 
-    ``dt=None`` picks the stability-rule step.  An explicit dt above the
-    stability bound, or initial data with content at unstable wavenumbers,
-    is rejected unless ``allow_unstable`` is set -- that flag is the
-    documented escape hatch for deliberately driving a run into blow-up.
+    ``dt`` is the largest step allowed (None: the stability rule at
+    ``safety``); the run takes the fewest whole steps, at least
+    ``min_steps``, that reach ``t_end``.  ``snapshot_stride`` is an int, a
+    function of the step count, or None for about 512 snapshots.  Refused
+    with ValueError: a dt above the stability bound, v >= 1/2 and round-off
+    growth beyond ``_ROGUE_BUDGET`` e-folds, unless ``allow_unstable`` is
+    set; and always arrays (:func:`run_bytes`) above the byte cap.
     """
 
     coeffs: CanonicalCoefficients
     grid: Grid
-    initial: FieldState
     t_end: float
     dt: Optional[float] = None
-    snapshot_stride: Optional[int] = None
+    snapshot_stride: Union[int, Callable[[int], int], None] = None
     laplacian: str = "stencil"
     safety: float = 0.7
     allow_unstable: bool = False
+    min_steps: int = 1
+    n_steps: int = field(init=False)
+    n_bytes: int = field(init=False)
+    unstable_modes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_laplacian_mode(self.laplacian)
-        if self.initial.grid != self.grid:
-            raise ValueError("initial state lives on a different grid")
         if not math.isfinite(self.t_end) or self.t_end < 0.0:
             raise ValueError("t_end must be non-negative and finite")
-        if self.snapshot_stride is not None and self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
-        if self.dt is None:
-            bound = stability_dt(self.coeffs, self.grid, self.safety,
-                                 self.laplacian)
-            dt = _step_plan(self.t_end, bound)[0] if self.t_end > 0.0 else bound
-            object.__setattr__(self, "dt", dt)
-        else:
-            if self.dt <= 0.0 or not math.isfinite(self.dt):
-                raise ValueError("dt must be positive and finite")
-            if not self.allow_unstable:
-                bound = stability_dt(self.coeffs, self.grid, 1.0, self.laplacian)
-                if self.dt > bound * (1.0 + 1e-9):
-                    raise ValueError(
-                        f"dt={self.dt!r} exceeds the stability bound {bound!r}; "
-                        "set allow_unstable to override")
-        if not self.allow_unstable:
-            self._check_spectral_content()
-
-    def _check_spectral_content(self) -> None:
-        if self.coeffs.v >= 0.5:
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError("dt must be positive and finite")
+        if self.min_steps < 1:
+            raise ValueError("min_steps must be >= 1")
+        order = 1 if self.coeffs.a_tt == 0.0 else 2
+        # The work arrays first, before any eigenvalue exists; the stored
+        # rows once the stride is known.
+        self._check_bytes(1, order)
+        if self.coeffs.v >= 0.5 and not self.allow_unstable:
             raise ValueError("all wavenumbers unstable (v >= 1/2); "
                              "set allow_unstable to run anyway")
-        mask = _unstable_mode_mask(self.coeffs, self.grid, self.laplacian)
-        if not np.any(mask):
-            return
-        for field in (self.initial.psi, self.initial.dpsi_dt):
-            spectrum = np.abs(np.fft.fft(field.values))
-            scale = float(spectrum.max())
-            if scale == 0.0:
-                continue
-            if float(spectrum[mask].max()) > 1e-12 * scale:
-                raise ValueError(
-                    "initial data has content at unstable wavenumbers; "
-                    "filter it (spectral_filter) or set allow_unstable")
+        rates = growth_rates(self.coeffs, self.grid, self.laplacian)
+        rate = float(rates.max())
+        if self.t_end > growth_horizon(rate) and not self.allow_unstable:
+            raise ValueError(f"modes growing at up to {rate:.6g} amplify round-off by "
+                             f"e^{rate * self.t_end:.4g} over t_end={self.t_end!r}, beyond "
+                             f"e^{_ROGUE_BUDGET:g}; shorten t_end or set allow_unstable")
+        dt_max = self.dt
+        if dt_max is None:
+            dt_max = stability_dt(self.coeffs, self.grid, self.safety, self.laplacian)
+        elif not self.allow_unstable:
+            bound = stability_dt(self.coeffs, self.grid, 1.0, self.laplacian)
+            if dt_max > bound * (1.0 + 1e-9):
+                raise ValueError(f"dt={dt_max!r} exceeds the stability bound "
+                                 f"{bound!r}; set allow_unstable to override")
+        dt, n_steps = _step_plan(self.t_end, dt_max, self.min_steps)
+        stride = _auto_stride if self.snapshot_stride is None else self.snapshot_stride
+        if callable(stride):
+            stride = stride(n_steps)
+        if stride < 1:
+            raise ValueError("snapshot_stride must be >= 1")
+        rows = -(-n_steps // stride) + 1  # the length of kernels.sample_steps
+        resolved = {"dt": dt, "n_steps": n_steps, "snapshot_stride": stride,
+                    "n_bytes": self._check_bytes(rows, order),
+                    "unstable_modes": rates > 1e-14}
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
+
+    def _check_bytes(self, rows: int, order: int) -> int:
+        need = run_bytes(self.grid.n, rows, order)
+        if need > kernels.MAX_SAMPLE_BYTES:
+            raise ValueError(f"{rows} stored row(s) of {self.grid.n} points need "
+                             f"{need:.3g} bytes of arrays, above the cap of "
+                             f"{kernels.MAX_SAMPLE_BYTES} bytes")
+        return need
 
 
 @dataclass(eq=False)
@@ -244,22 +297,28 @@ class EvolutionResult:
     laplacian: str
 
 
-def _auto_stride(n_steps: int, target_snapshots: int = 512) -> int:
-    return max(1, n_steps // target_snapshots)
+def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
+    """Run ``problem``'s plan from ``initial``.
 
-
-def evolve(problem: PdeProblem) -> EvolutionResult:
-    """Run the method-of-lines integration described by ``problem``.
-
-    Raises :class:`BlowUpError` (with the offending time and the dominant
+    Initial data with content at the plan's unstable modes is refused with
+    ValueError unless ``allow_unstable`` is set.  Raises
+    :class:`BlowUpError` (with the offending time and the dominant
     wavenumber of the last finite snapshot) if the field leaves the
     representable range.
     """
-    n_steps = _resolve_steps(problem.t_end, problem.dt)
-    stride = problem.snapshot_stride or _auto_stride(n_steps)
     grid = problem.grid
-    psi0 = problem.initial.psi.values
-    phi0 = problem.initial.dpsi_dt.values
+    if initial.grid != grid:
+        raise ValueError("initial state lives on a different grid")
+    unstable = problem.unstable_modes
+    if not problem.allow_unstable and unstable.any():
+        for component in (initial.psi, initial.dpsi_dt):
+            spectrum = np.abs(np.fft.fft(component.values))
+            if spectrum[unstable].max() > 1e-12 * spectrum.max():
+                raise ValueError("initial data has content at unstable wavenumbers; "
+                                 "filter it (spectral_filter) or set allow_unstable")
+    n_steps, stride = problem.n_steps, problem.snapshot_stride
+    psi0 = initial.psi.values
+    phi0 = initial.dpsi_dt.values
     if problem.coeffs.a_tt == 0.0:
         psis, phis, steps, blow = kernels.run_field_first_order(
             psi0, problem.coeffs.a_xx, problem.coeffs.v, grid.dx, problem.dt,
@@ -294,8 +353,8 @@ def spectral_filter(state: FieldState, k_cut: float) -> FieldState:
     grid = state.grid
     keep = np.abs(grid.wavenumbers()) <= k_cut
     out = []
-    for field in (state.psi, state.dpsi_dt):
-        spectrum = np.fft.fft(field.values)
+    for component in (state.psi, state.dpsi_dt):
+        spectrum = np.fft.fft(component.values)
         spectrum[~keep] = 0.0
         out.append(ComplexField(np.fft.ifft(spectrum), grid))
     return FieldState(out[0], out[1])

@@ -41,22 +41,24 @@ from .integrator import (
     convergence_order,
     integrate_uniform,
 )
-from .kernels import MAX_SAMPLE_BYTES, check_sample_bytes
+from .kernels import MAX_SAMPLE_BYTES
 from .pde import (
     LAPLACIAN_MODES,
     FieldState,
     Grid,
     PdeProblem,
-    _step_plan,
     evolve,
     field_width,
     fit_mode_frequency,
     fit_mode_growth,
     gaussian_packet,
+    growth_horizon,
+    growth_rates,
     mode_amplitudes,
     plane_wave_state,
+    run_bytes,
     schrodinger_consistent_state,
-    stability_dt,
+    stability_dt,  # not called here; perfbench's tracer wraps it by this name
     width_law,
 )
 
@@ -156,8 +158,9 @@ _DT = KeySpec("opt_float", None, f"explicit step, {_SIZE} (default: stability "
 
 
 def _grid_points(default: int) -> KeySpec:
-    # 2^24: the largest grid whose start and end rows fit the sample cap
-    top = MAX_SAMPLE_BYTES // (2 * 2 * 16)  # rows x components x complex128
+    # The largest grid on which a second-order run storing only its first
+    # and last rows fits the byte cap: 2^21.
+    top = 1 << ((MAX_SAMPLE_BYTES // run_bytes(1, 2, 2)).bit_length() - 1)
     return KeySpec("int", default, f"grid points: a power of two in [8, {top}]",
                    lambda n: 8 <= n <= top and n & (n - 1) == 0)
 
@@ -387,7 +390,6 @@ def format_planck_report(numbers: dict) -> str:
 
 _FIG1_ERROR_TARGET = 1e-7
 _FIG1_ERROR_RATE = 0.27  # measured max-error growth per unit time at dt = 1
-_ROGUE_BUDGET = 25.0  # max growth-rate * window for round-off-seeded modes
 # Least phase (or log-growth) a probed mode must advance over the window, in
 # rad: below it the measured change is round-off and the fit reads noise.
 _MIN_PHASE_ADVANCE = 1e-9
@@ -431,12 +433,12 @@ def _run_fig1(params: dict) -> tuple[list[OutputFile], dict]:
 def _refused(fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, with its refusals as configuration errors.
 
-    For the planning calls (``Grid``, ``stability_dt``, ``_step_plan``,
-    ``_resolve_steps``, ``check_sample_bytes``, ``PdeProblem`` and
-    ``integrate_uniform``) a ValueError means the inputs ask for a run that
-    cannot be made: a size beyond the float or int64 range, a horizon that
-    is not whole steps, stored samples above ``kernels.MAX_SAMPLE_BYTES``,
-    dt above the stability bound or content at unstable modes.
+    For the planning calls (``Grid``, ``PdeProblem``, ``_resolve_steps``,
+    ``integrate_uniform``) and ``evolve``'s check of the initial data, a
+    ValueError means the inputs ask for a run that cannot be made: a size
+    beyond the float or int64 range, a horizon that is not whole steps,
+    arrays above ``kernels.MAX_SAMPLE_BYTES``, or what ``PdeProblem``
+    refuses without ``allow_unstable``.
     """
     try:
         return fn(*args, **kwargs)
@@ -449,22 +451,13 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     lap_mode = params["laplacian"]
     coeffs = reduce_equation(
         EquationParameters(params["r"], params["v"], EquationForm.FULL))
-    if coeffs.v >= 0.5 and not params["allow_unstable"]:
-        raise ConfigError("v >= 1/2 leaves no stable wavenumber; "
-                          "set allow_unstable to probe growth anyway")
-    eigs = grid.laplacian_eigenvalues(lap_mode)
-    plus, _ = dispersion_branches(coeffs, eigs)
-    s_max = float(np.max(plus.imag))
-    window = params["horizon_tau"]
-    capped = False
-    if s_max > 0.0 and window > _ROGUE_BUDGET / s_max:
-        window = _ROGUE_BUDGET / s_max
-        capped = True
-    dt_max = params["dt"]
-    if dt_max is None:
-        dt_max = _refused(stability_dt, coeffs, grid, params["safety"], lap_mode)
-    dt, n_steps = _refused(_step_plan, window, dt_max, min_steps=16)
-    _refused(check_sample_bytes, n_steps, 1, grid.n)
+    # The window stops where the plan's round-off growth budget does.
+    s_max = float(np.max(growth_rates(coeffs, grid, lap_mode)))
+    window = min(params["horizon_tau"], growth_horizon(s_max))
+    capped = window < params["horizon_tau"]
+    plan = _refused(PdeProblem, coeffs, grid, t_end=window, dt=params["dt"],
+                    snapshot_stride=1, laplacian=lap_mode, safety=params["safety"],
+                    allow_unstable=params["allow_unstable"], min_steps=16)
     rows = []
     for k_req in params["k_values"]:
         mode = k_req * grid.length / (2.0 * math.pi)
@@ -486,12 +479,15 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
             resolved = 1
         else:
             resolved = 1 if 2.0 * math.pi / (abs(k_snap) * grid.dx) >= 8.0 else 0
+        if not mode_stable:
+            if not params["allow_unstable"]:
+                raise ConfigError(
+                    f"requested k_hat={k_snap:.6g} lies above the critical "
+                    "wavenumber; set allow_unstable to probe growth")
+            state, _, _ = plane_wave_state(grid, j, coeffs, "plus", lap_mode)
+        result = _refused(evolve, plan, state)
+        amps = mode_amplitudes(result.psi, j)
         if mode_stable:
-            problem = _refused(PdeProblem, coeffs, grid, state, t_end=window,
-                               dt=dt, snapshot_stride=1, laplacian=lap_mode,
-                               allow_unstable=params["allow_unstable"])
-            result = evolve(problem)
-            amps = mode_amplitudes(result.psi, j)
             measured = fit_mode_frequency(result.times, amps)
             reference = omega_m_exact.real
             if reference != 0.0:
@@ -501,19 +497,8 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
             rows.append((k_snap, reference, measured, rel, resolved,
                          float("nan"), float("nan")))
         else:
-            if not params["allow_unstable"]:
-                raise ConfigError(
-                    f"requested k_hat={k_snap:.6g} lies above the critical "
-                    "wavenumber; set allow_unstable to probe growth")
-            state, _, _ = plane_wave_state(grid, j, coeffs, "plus", lap_mode)
-            problem = _refused(PdeProblem, coeffs, grid, state, t_end=window,
-                               dt=dt, snapshot_stride=1, laplacian=lap_mode,
-                               allow_unstable=True)
-            result = evolve(problem)
-            amps = mode_amplitudes(result.psi, j)
-            measured = fit_mode_growth(result.times, amps)
-            rows.append((k_snap, float("nan"), float("nan"), float("nan"),
-                         resolved, omega_p_exact.imag, measured))
+            rows.append((k_snap, float("nan"), float("nan"), float("nan"), resolved,
+                         omega_p_exact.imag, fit_mode_growth(result.times, amps)))
     outputs = [OutputFile(
         name="dispersion_scan_modes.csv",
         header=["k_hat", "omega_minus_analytic", "omega_minus_measured",
@@ -521,7 +506,7 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
                 "growth_rate_measured"],
         columns=list(zip(*rows)),
     )]
-    solver = {"dt": dt, "n_steps": n_steps, "window_tau": window,
+    solver = {"dt": plan.dt, "n_steps": plan.n_steps, "window_tau": window,
               "window_capped": capped, "max_growth_rate_on_grid": s_max,
               "laplacian": lap_mode}
     return outputs, solver
@@ -539,20 +524,20 @@ def _run_regime_compare(params: dict) -> tuple[list[OutputFile], dict]:
         full = reduce_equation(EquationParameters(r, params["v"], EquationForm.FULL))
         macro = reduce_equation(
             EquationParameters(r, params["v"], EquationForm.MACROSCOPIC))
-        dt_max = min(_refused(stability_dt, c, grid, params["safety"], lap_mode)
-                     for c in (full, macro))
-        dt, n_steps = _refused(_step_plan, horizon, dt_max, min_steps=8)
-        _refused(check_sample_bytes, n_steps, 1, grid.n)
-        dts.append(dt)
+        # The macroscopic frequencies are the full form's at k = 0, so the
+        # full form's stability-rule step is the smaller, and both take it.
+        full_plan = _refused(PdeProblem, full, grid, t_end=horizon,
+                             snapshot_stride=1, laplacian=lap_mode,
+                             safety=params["safety"], min_steps=8)
+        macro_plan = _refused(PdeProblem, macro, grid, t_end=horizon,
+                              dt=full_plan.dt, snapshot_stride=1,
+                              laplacian=lap_mode, min_steps=8)
+        dts.append(full_plan.dt)
         packet_initial = schrodinger_consistent_state(packet_psi, full, lap_mode)
         distances = []
         for initial in (uniform_initial, packet_initial):
-            fields = []
-            for coeffs in (full, macro):
-                problem = _refused(PdeProblem, coeffs, grid, initial,
-                                   t_end=horizon, dt=dt, snapshot_stride=1,
-                                   laplacian=lap_mode)
-                fields.append(evolve(problem).psi)
+            fields = [_refused(evolve, plan, initial).psi
+                      for plan in (full_plan, macro_plan)]
             distances.append(float(np.max(np.abs(fields[0] - fields[1]))))
         rows.append((r, distances[0], distances[1]))
     outputs = [OutputFile(
@@ -608,18 +593,15 @@ def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
         # Default: time for the free packet width to double.
         horizon = 2.0 * math.sqrt(3.0) * sigma0**2 / r if form == "schrodinger" \
             else 10.0 * math.pi
-    dt_max = params["dt"]
-    if dt_max is None:
-        dt_max = _refused(stability_dt, coeffs, grid, params["safety"], lap_mode)
-    dt, n_steps = _refused(_step_plan, horizon, dt_max)
-    stride = max(1, n_steps // params["samples"])
-    _refused(check_sample_bytes, n_steps, stride, grid.n)
+    # The horizon is the physics here, so a run beyond the growth budget is
+    # refused rather than shortened.
+    plan = _refused(PdeProblem, coeffs, grid, t_end=horizon, dt=params["dt"],
+                    snapshot_stride=lambda n_steps: max(1, n_steps // params["samples"]),
+                    laplacian=lap_mode, safety=params["safety"],
+                    allow_unstable=params["allow_unstable"])
     psi0 = gaussian_packet(grid, sigma0)
     initial = schrodinger_consistent_state(psi0, coeffs, lap_mode)
-    problem = _refused(PdeProblem, coeffs, grid, initial, t_end=horizon,
-                       dt=dt, snapshot_stride=stride, laplacian=lap_mode,
-                       allow_unstable=params["allow_unstable"])
-    result = evolve(problem)
+    result = _refused(evolve, plan, initial)
     empty = np.flatnonzero(result.l2_norm == 0.0)
     if empty.size:  # RK4's damping can take a long run below the float range
         raise UnderflowError(float(result.times[empty[0]]))
@@ -641,7 +623,7 @@ def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
                    ["xi_hat", "re_psi", "im_psi", "abs_psi"],
                    [grid.xi(), *_parts(result.psi[-1])]),
     ]
-    solver = {"form": form, "dt": dt, "n_steps": n_steps,
+    solver = {"form": form, "dt": plan.dt, "n_steps": plan.n_steps,
               "snapshot_stride": result.snapshot_stride, "horizon_tau": horizon,
               "laplacian": lap_mode}
     return outputs, solver

@@ -121,10 +121,10 @@ def test_criterion_6_instability_boundary():
     grid = Grid(64, 10.0 * math.pi)
     state, k, (omega_p, _) = plane_wave_state(grid, 6, FULL_R1, "plus",
                                               "spectral")
-    prob = PdeProblem(FULL_R1, grid, state, t_end=3.5, dt=3.5 / 64,
+    prob = PdeProblem(FULL_R1, grid, t_end=3.5, dt=3.5 / 64,
                       snapshot_stride=1, laplacian="spectral",
                       allow_unstable=True)
-    res = evolve(prob)
+    res = evolve(prob, state)
     rate = fit_mode_growth(res.times, mode_amplitudes(res.psi, 6))
     mode_ok = abs(rate - omega_p.imag) / omega_p.imag < 0.02
 
@@ -166,10 +166,10 @@ def test_criterion_8_schrodinger_limit(tmp_path):
         state = schrodinger_consistent_state(psi0, coeffs, "spectral")
         dt = stability_dt(coeffs, grid, 0.7, "spectral")
         n_steps = math.ceil(t_end / dt)
-        prob = PdeProblem(coeffs, grid, state, t_end=t_end,
+        prob = PdeProblem(coeffs, grid, t_end=t_end,
                           dt=t_end / n_steps, snapshot_stride=n_steps,
                           laplacian="spectral")
-        return evolve(prob).psi[-1]
+        return evolve(prob, state).psi[-1]
 
     baseline = final_field(0.0)
     eps = np.array([1.0, 0.25, 0.0625])

@@ -7,7 +7,6 @@ import pytest
 from nsblab.analytic import (
     AllWavenumbersUnstableError,
     CanonicalCoefficients,
-    DispersionQuery,
     EquationForm,
     EquationParameters,
     FreeSolutionSpec,
@@ -16,10 +15,7 @@ from nsblab.analytic import (
     classify_regime,
     critical_wavenumber,
     dispersion_branches,
-    dispersion_roots,
     free_solution,
-    free_solution_derivative,
-    literal_coefficients,
     reduce_equation,
 )
 
@@ -105,7 +101,11 @@ def test_literal_assembly_matches_reduced():
         r = 10.0 ** rng.uniform(-3, 3)
         v = rng.uniform(-2, 2)
         params = EquationParameters(r, v, EquationForm.FULL)
-        assert literal_coefficients(params) == reduce_equation(params)
+        # kinetic -r/2 plus the cancelling pair -1/2 and +1/2, the pair
+        # combined first so its exact cancellation survives floating point
+        spatial = -0.5 * r + (-0.5 + 0.5)
+        literal = CanonicalCoefficients(a_xx=-2.0 * spatial, a_tt=1.0, v=v)
+        assert literal == reduce_equation(params)
 
 
 # ------------------------------------------------------ characteristic roots
@@ -180,10 +180,14 @@ def test_free_solution_satisfies_uniform_equation():
     # residual of i psi' + psi''/2 with exact derivatives of A(1-e^{-2it})
     spec = FreeSolutionSpec.zero_initial(1.3 - 0.2j)
     rng = np.random.default_rng(13)
+    h = 1e-5
     for t in rng.uniform(0.0, 20.0, size=200):
+        first = -2j * spec.B * cmath.exp(-2j * t)  # d/dt of A + B e^{-2it}
         second = -4.0 * spec.B * cmath.exp(-2j * t)  # d/dt of -2iB e^{-2it}
-        first = free_solution_derivative(spec, t)
         assert abs(1j * first + 0.5 * second) < 1e-10
+        # the closed-form derivative is the derivative of free_solution
+        central = (free_solution(spec, t + h) - free_solution(spec, t - h)) / (2 * h)
+        assert abs(central - first) < 1e-8
 
 
 def test_free_solution_rejects_negative_time():
@@ -194,24 +198,26 @@ def test_free_solution_rejects_negative_time():
 # --------------------------------------------------------------- dispersion
 
 
+def roots_at(params, k):
+    """(omega_plus, omega_minus) of the reduced form at wavenumber k."""
+    return dispersion_branches(reduce_equation(params), k**2)
+
+
 def test_dispersion_at_zero_wavenumber_matches_roots():
-    query = DispersionQuery(EquationParameters(1.0, 0.0), 0.0)
-    plus, minus = dispersion_roots(query)
+    plus, minus = roots_at(EquationParameters(1.0, 0.0), 0.0)
     assert plus == pytest.approx(2.0, abs=1e-15)
     assert minus == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dispersion_double_root():
     # r k^2 + 2v = 1 collapses both branches to 1
-    query = DispersionQuery(EquationParameters(1.0, 0.25), math.sqrt(0.5))
-    plus, minus = dispersion_roots(query)
+    plus, minus = roots_at(EquationParameters(1.0, 0.25), math.sqrt(0.5))
     assert plus == pytest.approx(1.0, abs=1e-12)
     assert minus == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dispersion_slow_branch_value():
-    query = DispersionQuery(EquationParameters(1.0, 0.0), 0.2)
-    _, minus = dispersion_roots(query)
+    _, minus = roots_at(EquationParameters(1.0, 0.0), 0.2)
     assert minus == pytest.approx(OMEGA_MINUS_K02, rel=1e-14)
     assert minus.real == pytest.approx(0.02, rel=2e-2)  # Schrodinger value
 
@@ -222,8 +228,7 @@ def test_dispersion_residual_randomized():
         r = 10.0 ** rng.uniform(-2, 2)
         v = rng.uniform(-1, 1)
         k = rng.uniform(0.0, 3.0)
-        query = DispersionQuery(EquationParameters(r, v), k)
-        for w in dispersion_roots(query):
+        for w in roots_at(EquationParameters(r, v), k):
             assert abs(0.5 * w * w - w + 0.5 * r * k * k + v) < 1e-12
 
 
@@ -232,7 +237,7 @@ def test_dispersion_matches_characteristic_roots_at_k0():
     rng = np.random.default_rng(19)
     for v in rng.uniform(-1.5, 1.5, size=200):
         roots = characteristic_roots(float(v))
-        omegas = dispersion_roots(DispersionQuery(EquationParameters(1.0, float(v)), 0.0))
+        omegas = roots_at(EquationParameters(1.0, float(v)), 0.0)
         got = sorted((-1j * w for w in omegas), key=lambda z: (z.real, z.imag))
         want = sorted((roots.gamma1, roots.gamma2), key=lambda z: (z.real, z.imag))
         assert all(abs(a - b) < 1e-12 for a, b in zip(got, want))
@@ -241,8 +246,7 @@ def test_dispersion_matches_characteristic_roots_at_k0():
 def test_unstable_branch_ordering():
     # below the double root the two branches are complex conjugates and the
     # plus branch carries the positive imaginary part (the growing one)
-    query = DispersionQuery(EquationParameters(1.0, 0.0), 1.5)
-    plus, minus = dispersion_roots(query)
+    plus, minus = roots_at(EquationParameters(1.0, 0.0), 1.5)
     assert plus.imag > 0.0
     assert minus == pytest.approx(plus.conjugate(), abs=1e-15)
 
@@ -253,7 +257,7 @@ def test_schrodinger_limit_quadratic_error():
     ks = [0.2, 0.1, 0.05, 0.025]
     devs = []
     for k in ks:
-        _, minus = dispersion_roots(DispersionQuery(EquationParameters(r, v), k))
+        _, minus = roots_at(EquationParameters(r, v), k)
         schro = 0.5 * r * k * k + v
         devs.append(abs(minus.real - schro))
     # each halving of k divides the deviation by ~16 (fourth power in k)
@@ -293,7 +297,7 @@ def test_critical_wavenumber_infinite_without_spatial_term():
 def test_modes_across_critical_change_character():
     params = EquationParameters(1.0, 0.0)
     kc = critical_wavenumber(params)
-    below = dispersion_roots(DispersionQuery(params, 0.99 * kc))
-    above = dispersion_roots(DispersionQuery(params, 1.01 * kc))
+    below = roots_at(params, 0.99 * kc)
+    above = roots_at(params, 1.01 * kc)
     assert all(abs(w.imag) < 1e-12 for w in below)
     assert any(w.imag > 1e-3 for w in above)

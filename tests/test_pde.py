@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsblab.analytic import (
@@ -15,6 +16,7 @@ from nsblab.analytic import (
     free_solution,
     reduce_equation,
 )
+from nsblab import kernels
 from nsblab.integrator import BlowUpError, TemporalState, integrate_uniform
 from nsblab.pde import (
     ComplexField,
@@ -27,8 +29,11 @@ from nsblab.pde import (
     fit_mode_frequency,
     fit_mode_growth,
     gaussian_packet,
+    growth_horizon,
+    growth_rates,
     mode_amplitudes,
     plane_wave_state,
+    run_bytes,
     schrodinger_consistent_state,
     spectral_filter,
     stability_dt,
@@ -170,11 +175,10 @@ def test_stability_dt_rejects_bad_safety():
 
 def test_problem_rejects_oversized_dt():
     g = Grid(32, 32.0 * math.pi)
-    state = FieldState.uniform(g, 0.0, 2.0j)
     bound = stability_dt(FULL_R1, g, 1.0)
     with pytest.raises(ValueError):
-        PdeProblem(FULL_R1, g, state, t_end=1.0, dt=2.0 * bound)
-    PdeProblem(FULL_R1, g, state, t_end=1.0, dt=2.0 * bound, allow_unstable=True)
+        PdeProblem(FULL_R1, g, t_end=1.0, dt=2.0 * bound)
+    PdeProblem(FULL_R1, g, t_end=1.0, dt=2.0 * bound, allow_unstable=True)
 
 
 def test_problem_rejects_supercritical_content():
@@ -183,33 +187,117 @@ def test_problem_rejects_supercritical_content():
     g = Grid(32, 40.0)
     psi = gaussian_packet(g, 1.0)
     state = schrodinger_consistent_state(psi, FULL_R1)
+    prob = PdeProblem(FULL_R1, g, t_end=1.0)
     with pytest.raises(ValueError):
-        PdeProblem(FULL_R1, g, state, t_end=1.0)
+        evolve(prob, state)
     # band-limiting below critical makes the same problem acceptable
     filtered = spectral_filter(state, 0.5)
-    PdeProblem(FULL_R1, g, filtered, t_end=1.0)
+    evolve(prob, filtered)
     # or the override accepts the growth explicitly
-    PdeProblem(FULL_R1, g, state, t_end=1.0, allow_unstable=True)
+    evolve(PdeProblem(FULL_R1, g, t_end=1.0, allow_unstable=True), state)
 
 
 def test_problem_default_dt_respects_bound():
     g = Grid(32, 32.0 * math.pi)
-    state = FieldState.uniform(g, 0.0, 2.0j)
-    prob = PdeProblem(FULL_R1, g, state, t_end=10.0)
+    prob = PdeProblem(FULL_R1, g, t_end=10.0)
     assert prob.dt is not None
     assert prob.dt <= stability_dt(FULL_R1, g, prob.safety) * (1.0 + 1e-12)
+
+
+def test_problem_refuses_round_off_growth_beyond_the_budget():
+    # the fastest mode of this grid, k = pi/dx, grows at sqrt(k^2 - 1) per
+    # unit time, so round-off reaches e^25 after 25 / rate
+    g = Grid(32, 40.0)
+    rate = float(np.max(growth_rates(FULL_R1, g, "spectral")))
+    assert rate == pytest.approx(math.sqrt((math.pi / g.dx) ** 2 - 1.0), rel=1e-12)
+    assert growth_horizon(rate) == 25.0 / rate
+    PdeProblem(FULL_R1, g, t_end=0.99 * growth_horizon(rate), laplacian="spectral")
+    with pytest.raises(ValueError, match="round-off"):
+        PdeProblem(FULL_R1, g, t_end=1.01 * growth_horizon(rate), laplacian="spectral")
+    PdeProblem(FULL_R1, g, t_end=1.01 * growth_horizon(rate), laplacian="spectral",
+               allow_unstable=True)
+    # v >= 1/2 grows at every wavenumber, whatever the horizon
+    everything_grows = CanonicalCoefficients(a_xx=1.0, a_tt=1.0, v=0.75)
+    with pytest.raises(ValueError, match="v >= 1/2"):
+        PdeProblem(everything_grows, g, t_end=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        PdeProblem(everything_grows, g, t_end=0.1, allow_unstable=True)
+    # with no growing mode any horizon is within budget
+    assert growth_horizon(0.0) == math.inf
+
+
+def test_problem_counts_every_array_before_making_any():
+    # 2^26 points: the work arrays alone exceed the cap, and the plan says so
+    # before it computes a single eigenvalue
+    g = Grid(2**26, 2.0**25)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bytes"):
+            PdeProblem(FULL_R1, g, t_end=1.0, allow_unstable=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the stored rows count too: 2^14 points take 40 B a row each, so 2001
+    # rows are refused and 1001 are not, whatever allow_unstable says
+    g = Grid(2**14, 2.0**13)
+    coeffs = CanonicalCoefficients(a_xx=1e-3, a_tt=1.0, v=0.0)
+    with pytest.raises(ValueError, match="bytes"):
+        PdeProblem(coeffs, g, t_end=2.0, dt=1e-3, snapshot_stride=1,
+                   allow_unstable=True)
+    prob = PdeProblem(coeffs, g, t_end=2.0, dt=1e-3, snapshot_stride=2)
+    assert prob.n_bytes == run_bytes(2**14, 1001, 2) <= kernels.MAX_SAMPLE_BYTES
+
+
+@pytest.mark.parametrize("a_tt", [0.0, 1.0])
+def test_field_run_allocates_within_the_plan_bytes(a_tt):
+    # the run's peak, stored samples included, stays within the plan's count
+    # and near it, for one stored row to many and with a partial last stride
+    g = Grid(4096, 2048.0)
+    coeffs = CanonicalCoefficients(a_xx=1e-3, a_tt=a_tt, v=0.0)
+    state = FieldState.uniform(g, 0.5, 0.25j)
+    for n_steps, stride in ((1, 1), (10, 10), (1023, 1000), (7, 3), (65, 1),
+                            (129, 1)):
+        prob = PdeProblem(coeffs, g, t_end=0.01 * n_steps, dt=0.01,
+                          snapshot_stride=stride, laplacian="spectral")
+        evolve(prob, state)  # warm-up, so FFT plans are cached
+        tracemalloc.start()
+        try:
+            evolve(prob, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * prob.n_bytes < peak <= prob.n_bytes
 
 
 @settings(max_examples=200, deadline=None)
 @given(horizon=st.floats(1e-6, 1e6), dt_max=st.floats(1e-6, 1e6),
        min_steps=st.integers(1, 32))
+@example(horizon=500.0, dt_max=500.0 / (5e8 + 0.4), min_steps=1)
 def test_step_plan_is_the_fewest_whole_steps(horizon, dt_max, min_steps):
     dt, n_steps = _step_plan(horizon, dt_max, min_steps)
     assert n_steps >= min_steps
-    assert dt <= dt_max * (1.0 + 1e-12)
     assert n_steps * dt == pytest.approx(horizon, rel=1e-12)
+    whole = round(horizon / dt_max)
+    if whole >= min_steps and abs(whole * dt_max - horizon) <= 1e-9 * max(dt_max, horizon):
+        # dt_max divides the horizon to within 1e-9: that count is kept
+        assert n_steps == whole
+        return
+    assert dt <= dt_max * (1.0 + 1e-12)
     # one step fewer would need a step above dt_max
     assert n_steps == min_steps or horizon / (n_steps - 1) > dt_max * (1.0 - 1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t_end=st.floats(1e-6, 1e6), n=st.integers(1, 10**9))
+def test_problem_keeps_the_step_count_an_explicit_dt_divides(t_end, n):
+    # plain ceil(t / (t / n)) gives n + 1 for a few per cent of pairs
+    coeffs = CanonicalCoefficients(a_xx=0.0, a_tt=1.0, v=0.0)
+    prob = PdeProblem(coeffs, Grid(8, 10.0), t_end=t_end, dt=t_end / n,
+                      snapshot_stride=n, allow_unstable=True)
+    assert prob.n_steps == n
+    assert prob.dt == t_end / n
 
 
 # ----------------------------------------------------------------- evolve
@@ -219,9 +307,9 @@ def test_uniform_macroscopic_run_matches_free_solution():
     g = Grid(16, 10.0)
     coeffs = CanonicalCoefficients(a_xx=0.0, a_tt=1.0, v=0.0)
     state = FieldState.uniform(g, 0.0, 2.0j)
-    prob = PdeProblem(coeffs, g, state, t_end=100.0, dt=4e-3,
+    prob = PdeProblem(coeffs, g, t_end=100.0, dt=4e-3,
                       snapshot_stride=2500)
-    res = evolve(prob)
+    res = evolve(prob, state)
     spec = FreeSolutionSpec.zero_initial(1.0)
     exact = free_solution(spec, res.times)
     err = np.abs(res.psi - exact[:, None])
@@ -232,8 +320,8 @@ def test_uniform_field_equals_ode_everywhere():
     g = Grid(8, 10.0)
     psi0, phi0 = 0.3 + 0.1j, -0.2j
     state = FieldState.uniform(g, psi0, phi0)
-    prob = PdeProblem(FULL_R1, g, state, t_end=2.0, dt=1e-3, snapshot_stride=100)
-    res = evolve(prob)
+    prob = PdeProblem(FULL_R1, g, t_end=2.0, dt=1e-3, snapshot_stride=100)
+    res = evolve(prob, state)
     traj = integrate_uniform(TemporalState(psi0, phi0), 0.0, 2.0, 1e-3,
                              sample_stride=100)
     assert np.allclose(res.times, traj.times, rtol=0.0, atol=1e-12)
@@ -253,10 +341,10 @@ def test_single_mode_frequency_discrete_dispersion():
     t_end = 10.0 * period
     dt = stability_dt(FULL_R1, g, 0.7, "spectral")
     n_steps = math.ceil(t_end / dt)
-    prob = PdeProblem(FULL_R1, g, state, t_end=t_end, dt=t_end / n_steps,
+    prob = PdeProblem(FULL_R1, g, t_end=t_end, dt=t_end / n_steps,
                       snapshot_stride=max(1, n_steps // 512),
                       laplacian="spectral")
-    res = evolve(prob)
+    res = evolve(prob, state)
     measured = fit_mode_frequency(res.times, mode_amplitudes(res.psi, 2))
     assert abs(measured - omega_m.real) / abs(omega_m.real) < 1e-3
 
@@ -268,9 +356,9 @@ def test_single_mode_frequency_stencil_vs_its_eigenvalue():
     t_end = 40.0
     dt = stability_dt(FULL_R1, g, 0.7, "stencil")
     n_steps = math.ceil(t_end / dt)
-    prob = PdeProblem(FULL_R1, g, state, t_end=t_end, dt=t_end / n_steps,
+    prob = PdeProblem(FULL_R1, g, t_end=t_end, dt=t_end / n_steps,
                       snapshot_stride=1, laplacian="stencil")
-    res = evolve(prob)
+    res = evolve(prob, state)
     measured = fit_mode_frequency(res.times, mode_amplitudes(res.psi, 3))
     assert abs(measured - omega_m.real) / abs(omega_m.real) < 1e-6
 
@@ -285,9 +373,9 @@ def test_spatial_refinement_halves_frequency_error_twice():
         t_end = 10.0
         dt = stability_dt(FULL_R1, g, 0.7, "stencil")
         n_steps = max(32, math.ceil(t_end / dt))
-        prob = PdeProblem(FULL_R1, g, state, t_end=t_end, dt=t_end / n_steps,
+        prob = PdeProblem(FULL_R1, g, t_end=t_end, dt=t_end / n_steps,
                           snapshot_stride=1, laplacian="stencil")
-        res = evolve(prob)
+        res = evolve(prob, state)
         measured = fit_mode_frequency(res.times, mode_amplitudes(res.psi, 4))
         errors.append(abs(measured - omega_exact.real))
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.15)
@@ -300,10 +388,10 @@ def test_growth_above_critical_matches_plus_branch():
     assert k == pytest.approx(1.2)
     assert omega_p.imag > 0.0
     t_end = 3.5
-    prob = PdeProblem(FULL_R1, g, state, t_end=t_end, dt=t_end / 64,
+    prob = PdeProblem(FULL_R1, g, t_end=t_end, dt=t_end / 64,
                       snapshot_stride=1, laplacian="spectral",
                       allow_unstable=True)
-    res = evolve(prob)
+    res = evolve(prob, state)
     rate = fit_mode_growth(res.times, mode_amplitudes(res.psi, 6))
     assert rate == pytest.approx(omega_p.imag, rel=0.02)
     assert rate == pytest.approx(math.sqrt(1.2**2 - 1.0), rel=0.02)
@@ -321,9 +409,9 @@ def test_schrodinger_limit_deviation_scales_linearly():
         state = schrodinger_consistent_state(psi0, coeffs, "spectral")
         dt = stability_dt(coeffs, g, 0.7, "spectral")
         n_steps = math.ceil(t_end / dt)
-        prob = PdeProblem(coeffs, g, state, t_end=t_end, dt=t_end / n_steps,
+        prob = PdeProblem(coeffs, g, t_end=t_end, dt=t_end / n_steps,
                           snapshot_stride=n_steps, laplacian="spectral")
-        return evolve(prob).psi[-1]
+        return evolve(prob, state).psi[-1]
 
     baseline = run(0.0)
     eps_values = np.array([1.0, 0.25, 0.0625])
@@ -342,19 +430,19 @@ def test_first_order_l2_conserved():
     t_end = 2.0 * math.sqrt(3.0) * 4.0
     dt = stability_dt(coeffs, g, 0.7, "spectral")
     n_steps = math.ceil(t_end / dt)
-    prob = PdeProblem(coeffs, g, state, t_end=t_end, dt=t_end / n_steps,
+    prob = PdeProblem(coeffs, g, t_end=t_end, dt=t_end / n_steps,
                       snapshot_stride=max(1, n_steps // 64),
                       laplacian="spectral")
-    res = evolve(prob)
+    res = evolve(prob, state)
     assert np.max(np.abs(res.l2_norm - res.l2_norm[0])) < 1e-8
 
 
 def test_full_form_logs_l2_without_asserting_conservation():
     g = Grid(32, 32.0 * math.pi)
     state, _, _ = plane_wave_state(g, 2, FULL_R1, "minus", "spectral")
-    prob = PdeProblem(FULL_R1, g, state, t_end=5.0, dt=0.5,
+    prob = PdeProblem(FULL_R1, g, t_end=5.0, dt=0.5,
                       snapshot_stride=1, laplacian="spectral")
-    res = evolve(prob)
+    res = evolve(prob, state)
     # diagnostics exist and are finite for every snapshot; no conservation claim
     assert res.l2_norm.shape == res.times.shape
     assert res.max_abs.shape == res.times.shape
@@ -370,10 +458,10 @@ def test_packet_width_follows_free_spreading_law():
     t_end = 2.0 * math.sqrt(3.0) * sigma0**2  # width doubles here
     dt = stability_dt(coeffs, g, 0.7, "spectral")
     n_steps = math.ceil(t_end / dt)
-    prob = PdeProblem(coeffs, g, state, t_end=t_end, dt=t_end / n_steps,
+    prob = PdeProblem(coeffs, g, t_end=t_end, dt=t_end / n_steps,
                       snapshot_stride=max(1, n_steps // 32),
                       laplacian="spectral")
-    res = evolve(prob)
+    res = evolve(prob, state)
     for i in (0, len(res.times) // 2, len(res.times) - 1):
         measured = field_width(res.psi[i], g)
         expected = width_law(sigma0, 1.0, res.times[i])
@@ -385,10 +473,10 @@ def test_packet_width_follows_free_spreading_law():
 def test_blow_up_reports_time_and_mode():
     g = Grid(32, 40.0)
     state = FieldState.uniform(g, 0.0, 2.0j)
-    prob = PdeProblem(FULL_R1, g, state, t_end=2000.0, dt=2.0,
+    prob = PdeProblem(FULL_R1, g, t_end=2000.0, dt=2.0,
                       snapshot_stride=1, allow_unstable=True)
     with pytest.raises(BlowUpError) as info:
-        evolve(prob)
+        evolve(prob, state)
     assert info.value.time > 0.0
     assert "k_hat" in info.value.detail
 
@@ -398,10 +486,10 @@ def test_evolution_is_deterministic():
     psi0 = gaussian_packet(g, 4.0)
     state = schrodinger_consistent_state(psi0, FULL_R1, "spectral")
     state = spectral_filter(state, 0.9)
-    prob = PdeProblem(FULL_R1, g, state, t_end=5.0, snapshot_stride=4,
+    prob = PdeProblem(FULL_R1, g, t_end=5.0, snapshot_stride=4,
                       laplacian="spectral")
-    a = evolve(prob)
-    b = evolve(prob)
+    a = evolve(prob, state)
+    b = evolve(prob, state)
     assert np.array_equal(a.psi, b.psi)
     assert np.array_equal(a.dpsi_dt, b.dpsi_dt)
 
@@ -438,9 +526,9 @@ def test_filtered_packet_evolves_bounded():
     state = schrodinger_consistent_state(psi0, FULL_R1, "spectral")
     state = spectral_filter(state, 0.5)  # half the critical wavenumber
     t_end = 10.0 * math.pi
-    prob = PdeProblem(FULL_R1, g, state, t_end=t_end, snapshot_stride=1,
+    prob = PdeProblem(FULL_R1, g, t_end=t_end, snapshot_stride=1,
                       laplacian="spectral")
-    res = evolve(prob)
+    res = evolve(prob, state)
     assert np.max(res.max_abs) <= 2.5 * res.max_abs[0]
 
 
@@ -487,9 +575,9 @@ def test_schrodinger_consistent_state_matches_slow_branch():
 def test_plane_wave_state_minus_branch_oscillates_without_growth():
     g = Grid(32, 32.0 * math.pi)
     state, k, (_, omega_m) = plane_wave_state(g, 2, FULL_R1, "minus", "spectral")
-    prob = PdeProblem(FULL_R1, g, state, t_end=20.0, dt=0.5, snapshot_stride=1,
+    prob = PdeProblem(FULL_R1, g, t_end=20.0, dt=0.5, snapshot_stride=1,
                       laplacian="spectral")
-    res = evolve(prob)
+    res = evolve(prob, state)
     amps = np.abs(mode_amplitudes(res.psi, 2))
     assert np.max(np.abs(amps - 1.0)) < 1e-6
 

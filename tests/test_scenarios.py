@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from nsblab import scenarios
 from nsblab.cli import main
 from nsblab.constants import PhysicalConstants
+from nsblab.kernels import MAX_SAMPLE_BYTES
+from nsblab.pde import run_bytes
 from nsblab.scenarios import (
     SCENARIO_KEYS,
     ConfigError,
@@ -383,6 +385,24 @@ def test_pde_packet_full_form_on_coarse_grid(tmp_path):
     assert all(r[2] == "nan" for r in rows)  # no analytic law for this form
 
 
+def test_pde_packet_growth_beyond_budget_needs_the_override(tmp_path):
+    # r = 0.1 on the default grid: modes up to k = 10 grow at up to 3.0 per
+    # unit time, e^95 over the default 10 pi horizon
+    with pytest.raises(ConfigError, match="round-off"):
+        run_scenario("pde_packet", {"form": "full", "r": 0.1}, out_dir=tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
+    assert main(["run", "pde_packet", "--out", str(tmp_path), "--set", "form=full",
+                 "--set", "r=0.1", "--set", "allow_unstable=true"]) == 0
+    assert (tmp_path / "manifest.json").exists()
+
+
+def test_grid_cap_is_the_largest_grid_the_plan_admits():
+    rule = SCENARIO_KEYS["pde_packet"]["n"]
+    assert "2097152" in rule.doc
+    assert rule.check(2**21) and not rule.check(2**22)
+    assert run_bytes(2**21, 2, 2) <= MAX_SAMPLE_BYTES < run_bytes(2**22, 2, 2)
+
+
 def test_pde_packet_explicit_dt_keeps_the_horizon(tmp_path):
     # 1.0 / 0.03 is not whole: the step shrinks to 1/34, the horizon stays
     manifest = run_scenario("pde_packet", {"horizon_tau": 1.0, "dt": 0.03},
@@ -569,9 +589,13 @@ INVALID_RUNS = [
     ("fig1", ["A=NaN"]),
     ("regime_compare", ["n=100"]),
     ("regime_compare", ["sigma0=-1"]),
-    # grids above the 2^24 points whose start and end rows fit the sample cap
+    # grids above 2^21 points, the largest on which the arrays of a
+    # second-order run storing its first and last rows fit the byte cap
     ("pde_packet", ["n=1073741824"]),
     ("regime_compare", ["n=268435456"]),
+    ("pde_packet", ["n=16777216", "samples=1"]),
+    ("regime_compare", ["n=16777216"]),
+    ("dispersion_scan", ["n=16777216"]),
     # checks across keys: dt above the grid's stability bound, and a
     # wavenumber beyond the grid's Nyquist mode
     ("dispersion_scan", ["n=32", "L=128", "dt=5", "k_values=[0.1]"]),
@@ -587,13 +611,14 @@ INVALID_RUNS = [
     ("fig1", ["A=1e100"]),
     ("regime_compare", ["L=1e-100"]),
     ("dispersion_scan", ["n=8192", "L=1e-100", "r=1e100"]),
-    # stored samples above kernels.MAX_SAMPLE_BYTES, refused before any
-    # allocation
+    # arrays above kernels.MAX_SAMPLE_BYTES, refused before any allocation
     ("dispersion_scan", ["safety=1e-18", "horizon_tau=1"]),
     ("regime_compare", ["safety=1e-9"]),
     ("fig1", ["horizon_tau=[1e6]", "samples_per_period=4096"]),
     # a window too short for any phase to be measured
     ("dispersion_scan", ["horizon_tau=1e-100"]),
+    # unstable modes that would amplify round-off by e^95 over the horizon
+    ("pde_packet", ["form=full", "r=0.1"]),
 ]
 
 
@@ -605,9 +630,15 @@ def test_cli_invalid_input_exits_2(tmp_path, capsys, scenario, sets):
     argv = ["run", scenario, "--out", str(tmp_path)]
     for pair in sets:
         argv += ["--set", pair]
-    assert main(argv) == 2
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "manifest.json").exists()
+    assert peak < 16 * 2**20  # refused before any large array exists
 
 
 def test_cli_exit_code_on_blow_up(tmp_path, capsys):
