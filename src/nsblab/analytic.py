@@ -71,23 +71,20 @@ class EquationParameters:
     """Dimensionless inputs selecting one concrete equation.
 
     ``form`` may only be paired with a mass ratio that is not strictly in
-    the opposite regime: the macroscopic reduction is rejected for
-    r >= threshold and the microscopic one for r <= 1/threshold.
+    the opposite regime (see :func:`classify_regime`): the macroscopic
+    reduction is rejected for r >= 100 and the microscopic one for r <= 1/100.
     """
 
     r: float
     v: float
     form: EquationForm = EquationForm.FULL
-    regime_threshold: float = DEFAULT_REGIME_THRESHOLD
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.r) or self.r <= 0.0:
             raise ValueError(f"mass ratio r must be positive and finite, got {self.r!r}")
         if not math.isfinite(self.v):
             raise ValueError("potential v must be finite")
-        if self.regime_threshold <= 1.0:
-            raise ValueError("regime_threshold must exceed 1")
-        regime = classify_regime(self.r, self.regime_threshold)
+        regime = classify_regime(self.r)
         if self.form is EquationForm.MACROSCOPIC and regime is Regime.MICROSCOPIC:
             raise ValueError(
                 f"macroscopic form not permitted at r={self.r!r} (microscopic regime)"
@@ -100,21 +97,18 @@ class EquationParameters:
 
 @dataclass(frozen=True)
 class CanonicalCoefficients:
-    """Coefficients of i a_t psi_t = -(a_xx/2) psi_xx + v psi - (a_tt/2) psi_tt."""
+    """Coefficients of i psi_t = -(a_xx/2) psi_xx + v psi - (a_tt/2) psi_tt."""
 
     a_xx: float
     a_tt: float
     v: float
-    a_t: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("a_xx", "a_tt", "v", "a_t"):
+        for name in ("a_xx", "a_tt", "v"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.a_xx < 0.0 or self.a_tt < 0.0:
             raise ValueError("a_xx and a_tt must be non-negative")
-        if self.a_t != 1.0:
-            raise ValueError("only a_t = 1 is supported")
 
 
 def reduce_equation(params: EquationParameters) -> CanonicalCoefficients:

@@ -8,8 +8,8 @@ written as the first-order system
 with time in tau_p units.  It is stepped by classical fixed-step RK4
 (order 4, stability |lambda| dt <= 2.8 on the imaginary axis) as the one
 mode of a one-point grid in ``kernels``, the propagator that also drives
-the field solver in ``pde``.  This module holds the run records, the
-step-count rule and the blow-up errors the scenarios share.
+the field solver in ``pde``.  This module holds the run records and the
+blow-up errors the scenarios share.
 """
 
 from __future__ import annotations
@@ -92,33 +92,22 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-def _resolve_steps(t_end: float, dt: float) -> int:
-    if dt <= 0.0 or not math.isfinite(dt):
-        raise ValueError("dt must be positive and finite")
-    if t_end < 0.0 or not math.isfinite(t_end):
-        raise ValueError("t_end must be non-negative and finite")
-    if not t_end / dt < kernels.MAX_STEPS:
-        raise ValueError(f"t_end={t_end!r} needs more than {kernels.MAX_STEPS} "
-                         f"steps of dt={dt!r}")
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(dt, t_end):
-        raise ValueError("t_end must be an integer number of dt steps")
-    return n_steps
-
-
 def integrate_uniform(initial: TemporalState, v: float, t_end: float,
                       dt: float, sample_stride: int = 1) -> Trajectory:
     """RK4 trajectory of the uniform system from ``initial`` to ``t_end``.
 
-    ``t_end`` must be a whole number of steps of ``dt``.  Samples are stored
-    every ``sample_stride`` steps and always include t = 0 and t = t_end.
+    ``t_end`` must be a whole number of steps of ``dt``, as
+    :func:`kernels.whole_steps` decides.  Samples are stored every
+    ``sample_stride`` steps and always include t = 0 and t = t_end.
     A sample that is non-finite or of magnitude ``kernels.BLOWUP_MAGNITUDE``
     or more raises :class:`BlowUpError` carrying its time; a run whose
-    samples would exceed ``kernels.MAX_SAMPLE_BYTES`` raises ValueError.
+    arrays would exceed ``kernels.MAX_SAMPLE_BYTES`` raises ValueError.
     """
     if not math.isfinite(v):
         raise ValueError("potential v must be finite")
-    n_steps = _resolve_steps(t_end, dt)
+    n_steps, whole = kernels.whole_steps(t_end, dt)
+    if not whole:
+        raise ValueError("t_end must be an integer number of dt steps")
     psis, phis, steps, blow_slot = kernels.run_uniform(
         initial.psi, initial.dpsi_dt, v, dt, n_steps, sample_stride)
     if blow_slot >= 0:

@@ -28,6 +28,8 @@ into a blow-up error.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 BLOWUP_MAGNITUDE = 1e300
@@ -39,38 +41,79 @@ RK4_IMAGINARY_STABILITY = 2.8
 # Step indices are int64, so a run takes fewer steps than this.
 MAX_STEPS = 2**63 - 1
 
+
+def whole_steps(horizon: float, dt: float) -> tuple[int, bool]:
+    """(n, whole): the fewest steps of ``dt`` that reach ``horizon``, and
+    whether n steps land on it to within 1e-9 of the larger of the two.
+
+    A ``dt`` that divides ``horizon`` up to that round-off keeps the nearest
+    count, so ``horizon / n`` gives n steps; otherwise n rounds up.
+    """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be positive and finite")
+    if not (math.isfinite(horizon) and horizon >= 0.0):
+        raise ValueError("the horizon must be non-negative and finite")
+    if not horizon / dt < MAX_STEPS:
+        raise ValueError(f"horizon {horizon!r} needs more than {MAX_STEPS} "
+                         f"steps of {dt!r}")
+    n = round(horizon / dt)
+    if abs(n * dt - horizon) <= 1e-9 * max(dt, horizon):
+        return n, True
+    return math.ceil(horizon / dt), False
+
+
 # Cap on the rows one block advances at once, so a block temporary holds at
 # most this many rows of the grid.  Caps of 32 and 64 timed alike on a
 # 256-point second-order run; 16 and 128 were slower.
 BLOCK_ROWS = 64
 
-# Cap on the bytes of stored samples one run may ask for: both components,
-# complex128, every stored row of every grid point.  A run above it is
-# refused before anything is allocated.
+# Cap on the bytes of arrays one run may ask for, as :func:`run_bytes`
+# counts them.  A run above it is refused before anything is allocated.
 MAX_SAMPLE_BYTES = 2**30
 
 # There is no compiled path; the constant stays for callers that record it.
 HAVE_NUMBA = False
 
 
+def sample_rows(n_steps: int, stride: int) -> int:
+    """The number of step indices :func:`sample_steps` stores."""
+    if n_steps < 0 or stride < 1:
+        raise ValueError("need n_steps >= 0 and stride >= 1")
+    return -(-n_steps // stride) + 1
+
+
 def sample_steps(n_steps: int, stride: int) -> np.ndarray:
     """Step indices stored by the kernels: multiples of stride, plus the end."""
-    if n_steps < 0 or stride < 1:
-        raise ValueError("need n_steps >= 0 and stride >= 1")
-    steps = np.arange(0, n_steps + 1, stride, dtype=np.int64)
-    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
+    steps = np.arange(sample_rows(n_steps, stride), dtype=np.int64)
+    steps[:-1] *= stride
+    steps[-1] = n_steps
+    return steps
 
 
-def check_sample_bytes(n_steps: int, stride: int, points: int) -> None:
-    """Refuse a run whose stored samples would exceed ``MAX_SAMPLE_BYTES``."""
-    if n_steps < 0 or stride < 1:
-        raise ValueError("need n_steps >= 0 and stride >= 1")
-    rows = -(-n_steps // stride) + 1  # the length of sample_steps(n_steps, stride)
-    need = 2 * 16 * points * rows
+# Bytes a run allocates, measured with tracemalloc (numpy 2.4) plus a
+# margin.  Per stored row and grid point, 40: two complex128 components and
+# a float64 magnitude for the blow-up scan and the diagnostics.  Per stored
+# row, 24: the step index, the time and the scan's row maximum, most of a
+# one-point run's 57.  Per grid point, the work arrays of the first- or
+# second-order system: eigenvalues, a d x d matrix and the R^s temporaries.
+_POINT_ROW_BYTES = 40
+_ROW_BYTES = 24
+_WORK_BYTES = {1: 128, 2: 400}
+
+
+def run_bytes(points: int, rows: int, order: int) -> int:
+    """Bytes of every array a run of ``order`` (1 or 2) allocates on
+    ``points`` grid points while storing ``rows`` samples, times included."""
+    return rows * (_POINT_ROW_BYTES * points + _ROW_BYTES) + _WORK_BYTES[order] * points
+
+
+def check_bytes(need: int, what: str) -> int:
+    """``need``, or ValueError when it exceeds ``MAX_SAMPLE_BYTES``; ``what``
+    names the arrays counted."""
     if need > MAX_SAMPLE_BYTES:
-        raise ValueError(f"{n_steps} steps stored every {stride} on {points} "
-                         f"point(s) need {need:.3g} bytes of samples, above the "
+        raise ValueError(f"{what} need {need:.3g} bytes of arrays, above the "
                          f"cap of {MAX_SAMPLE_BYTES} bytes")
+    return need
 
 
 def laplacian_eigenvalues(n: int, dx: float, mode: str) -> np.ndarray:
@@ -190,10 +233,11 @@ def _run_field(a, initial, dt, n_steps, stride):
     ``initial`` holds the d starting components.  In the first-order limit
     (d = 1) the second returned component is dpsi_dt = a psi.
     """
-    check_sample_bytes(n_steps, stride, a.shape[0])
+    points, d = a.shape[0], a.shape[-1]
+    check_bytes(run_bytes(points, sample_rows(n_steps, stride), d),
+                f"{n_steps} steps stored every {stride} on {points} point(s)")
     steps = sample_steps(n_steps, stride)
-    d = a.shape[-1]
-    out = np.empty((2, len(steps), a.shape[0]), dtype=np.complex128)
+    out = np.empty((2, len(steps), points), dtype=np.complex128)
     np.fft.fft(initial, axis=-1, out=out[:d, 0])
     with np.errstate(all="ignore"):  # unstable runs overflow; rows are checked
         _propagate(a, out, dt, n_steps, stride)

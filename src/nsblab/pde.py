@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -130,18 +129,17 @@ def stability_dt(coeffs: CanonicalCoefficients, grid: Grid, safety: float = 0.7,
     The fastest discrete frequency is taken over both dispersion branches
     with the discrete Laplacian eigenvalues substituted for k^2, and the
     step bound is safety * 2.8 / max(|Re omega| + |Im omega|).  For v >= 1/2
-    every wavenumber grows; a warning is issued and the same bound is
-    returned (it remains the right scale for resolving the dynamics).
+    every wavenumber grows, and the same bound is returned: it remains the
+    right scale for resolving the dynamics.
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError("safety must be in (0, 1]")
     eigs = grid.laplacian_eigenvalues(laplacian)
-    omegas = np.concatenate([np.atleast_1d(branch) for branch
-                             in dispersion_branches(coeffs, eigs)])
-    bound = float(np.max(np.abs(omegas.real) + np.abs(omegas.imag)))
-    if coeffs.v >= 0.5:
-        warnings.warn("all wavenumbers are unstable (v >= 1/2); "
-                      "step bound taken from |Re omega| + |Im omega|")
+    # A frequency beyond the float range is refused below, without a warning.
+    with np.errstate(all="ignore"):
+        omegas = np.concatenate([np.atleast_1d(branch) for branch
+                                 in dispersion_branches(coeffs, eigs)])
+        bound = float(np.max(np.abs(omegas.real) + np.abs(omegas.imag)))
     if not math.isfinite(bound):
         raise ValueError("the grid's fastest frequency is not a finite float; "
                          "coarsen the grid or shrink the coefficients")
@@ -152,17 +150,11 @@ def stability_dt(coeffs: CanonicalCoefficients, grid: Grid, safety: float = 0.7,
 
 def _step_plan(horizon: float, dt_max: float, min_steps: int = 1) -> tuple[float, int]:
     """(dt, n_steps): the fewest whole steps, at least ``min_steps``, that
-    reach ``horizon`` exactly with ``dt <= dt_max``; a ``dt_max`` dividing
-    ``horizon`` to within 1e-9 (as ``integrator._resolve_steps`` allows)
-    keeps that count, so ``horizon / n`` gives n steps despite round-off."""
+    reach ``horizon`` exactly with ``dt <= dt_max`` up to the round-off
+    :func:`kernels.whole_steps` allows."""
+    n_steps = kernels.whole_steps(horizon, dt_max)[0]  # checks both, even at 0
     if horizon == 0.0:
         return dt_max, 0
-    if not horizon / dt_max < kernels.MAX_STEPS:
-        raise ValueError(f"horizon {horizon!r} needs more than "
-                         f"{kernels.MAX_STEPS} steps of at most {dt_max!r}")
-    n_steps = round(horizon / dt_max)
-    if abs(n_steps * dt_max - horizon) > 1e-9 * max(dt_max, horizon):
-        n_steps = math.ceil(horizon / dt_max)
     n_steps = max(min_steps, n_steps)
     return horizon / n_steps, n_steps
 
@@ -175,8 +167,10 @@ _ROGUE_BUDGET = 25.0
 
 def growth_rates(coeffs: CanonicalCoefficients, grid: Grid,
                  laplacian: str) -> np.ndarray:
-    """Growth rate Im omega_plus of each of the grid's modes, in fft order."""
-    plus, _ = dispersion_branches(coeffs, grid.laplacian_eigenvalues(laplacian))
+    """Growth rate Im omega_plus of each of the grid's modes, in fft order;
+    not finite where the frequency leaves the float range."""
+    with np.errstate(all="ignore"):
+        plus, _ = dispersion_branches(coeffs, grid.laplacian_eigenvalues(laplacian))
     return np.atleast_1d(plus).imag
 
 
@@ -184,21 +178,6 @@ def growth_horizon(rate: float) -> float:
     """Longest horizon over which growth at ``rate`` stays within the
     round-off budget (inf when nothing grows)."""
     return _ROGUE_BUDGET / rate if rate > 0.0 else math.inf
-
-
-# Bytes a field run allocates per grid point, measured with tracemalloc
-# (numpy 2.4) plus a margin: 40 per stored row (two complex128 components
-# and one float64 row of magnitudes for the blow-up scan and the
-# diagnostics), and the work arrays of the first- or second-order system:
-# its eigenvalues, one d x d matrix per mode and the temporaries of R^s.
-_ROW_BYTES = 40
-_WORK_BYTES = {1: 128, 2: 400}
-
-
-def run_bytes(points: int, rows: int, order: int) -> int:
-    """Bytes of every array a field run of ``order`` (1 or 2) allocates on
-    ``points`` grid points while storing ``rows`` snapshots."""
-    return points * (_ROW_BYTES * rows + _WORK_BYTES[order])
 
 
 def _auto_stride(n_steps: int, target_snapshots: int = 512) -> int:
@@ -215,7 +194,7 @@ class PdeProblem:
     function of the step count, or None for about 512 snapshots.  Refused
     with ValueError: a dt above the stability bound, v >= 1/2 and round-off
     growth beyond ``_ROGUE_BUDGET`` e-folds, unless ``allow_unstable`` is
-    set; and always arrays (:func:`run_bytes`) above the byte cap.
+    set; and always arrays (:func:`kernels.run_bytes`) above the byte cap.
     """
 
     coeffs: CanonicalCoefficients
@@ -233,16 +212,13 @@ class PdeProblem:
 
     def __post_init__(self) -> None:
         _check_laplacian_mode(self.laplacian)
-        if not math.isfinite(self.t_end) or self.t_end < 0.0:
-            raise ValueError("t_end must be non-negative and finite")
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError("dt must be positive and finite")
         if self.min_steps < 1:
             raise ValueError("min_steps must be >= 1")
         order = 1 if self.coeffs.a_tt == 0.0 else 2
         # The work arrays first, before any eigenvalue exists; the stored
         # rows once the stride is known.
-        self._check_bytes(1, order)
+        kernels.check_bytes(kernels.run_bytes(self.grid.n, 1, order),
+                            f"a run on {self.grid.n} points")
         if self.coeffs.v >= 0.5 and not self.allow_unstable:
             raise ValueError("all wavenumbers unstable (v >= 1/2); "
                              "set allow_unstable to run anyway")
@@ -264,22 +240,13 @@ class PdeProblem:
         stride = _auto_stride if self.snapshot_stride is None else self.snapshot_stride
         if callable(stride):
             stride = stride(n_steps)
-        if stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
-        rows = -(-n_steps // stride) + 1  # the length of kernels.sample_steps
+        rows = kernels.sample_rows(n_steps, stride)  # refuses a stride below 1
+        need = kernels.check_bytes(kernels.run_bytes(self.grid.n, rows, order),
+                                   f"{rows} stored rows of {self.grid.n} points")
         resolved = {"dt": dt, "n_steps": n_steps, "snapshot_stride": stride,
-                    "n_bytes": self._check_bytes(rows, order),
-                    "unstable_modes": rates > 1e-14}
+                    "n_bytes": need, "unstable_modes": rates > 1e-14}
         for name, value in resolved.items():
             object.__setattr__(self, name, value)
-
-    def _check_bytes(self, rows: int, order: int) -> int:
-        need = run_bytes(self.grid.n, rows, order)
-        if need > kernels.MAX_SAMPLE_BYTES:
-            raise ValueError(f"{rows} stored row(s) of {self.grid.n} points need "
-                             f"{need:.3g} bytes of arrays, above the cap of "
-                             f"{kernels.MAX_SAMPLE_BYTES} bytes")
-        return need
 
 
 @dataclass(eq=False)
@@ -290,7 +257,6 @@ class EvolutionResult:
     psi: np.ndarray
     dpsi_dt: np.ndarray
     l2_norm: np.ndarray
-    max_abs: np.ndarray
     dt: float
     n_steps: int
     snapshot_stride: int
@@ -340,9 +306,8 @@ def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
     times = steps.astype(float) * problem.dt
     l2 = np.sqrt(np.sum(np.abs(psis) ** 2, axis=1) * grid.dx)
     return EvolutionResult(
-        times=times, psi=psis, dpsi_dt=phis, l2_norm=l2,
-        max_abs=np.abs(psis).max(axis=1), dt=problem.dt, n_steps=n_steps,
-        snapshot_stride=stride, laplacian=problem.laplacian,
+        times=times, psi=psis, dpsi_dt=phis, l2_norm=l2, dt=problem.dt,
+        n_steps=n_steps, snapshot_stride=stride, laplacian=problem.laplacian,
     )
 
 

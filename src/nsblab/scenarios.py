@@ -37,11 +37,10 @@ from .constants import PhysicalConstants, derive_scales
 from .integrator import (
     TemporalState,
     UnderflowError,
-    _resolve_steps,
     convergence_order,
     integrate_uniform,
 )
-from .kernels import MAX_SAMPLE_BYTES
+from .kernels import MAX_SAMPLE_BYTES, check_bytes, run_bytes, sample_rows, whole_steps
 from .pde import (
     LAPLACIAN_MODES,
     FieldState,
@@ -56,7 +55,6 @@ from .pde import (
     growth_rates,
     mode_amplitudes,
     plane_wave_state,
-    run_bytes,
     schrodinger_consistent_state,
     stability_dt,  # not called here; perfbench's tracer wraps it by this name
     width_law,
@@ -144,7 +142,6 @@ def _halving(dts: list[float]) -> bool:
         abs(b / a - 0.5) <= 1e-6 for a, b in zip(dts, dts[1:]))
 
 
-_SEED = KeySpec("int", 0, "seed recorded for any randomised diagnostics")
 _SAFETY = KeySpec("float", 0.7, "fraction of the RK4 stability bound used for dt, "
                   "in (0, 1]", lambda x: 0.0 < x <= 1.0)
 _LAPLACIAN = KeySpec("str", "spectral", "spatial operator: stencil or spectral",
@@ -160,7 +157,9 @@ _DT = KeySpec("opt_float", None, f"explicit step, {_SIZE} (default: stability "
 def _grid_points(default: int) -> KeySpec:
     # The largest grid on which a second-order run storing only its first
     # and last rows fits the byte cap: 2^21.
-    top = 1 << ((MAX_SAMPLE_BYTES // run_bytes(1, 2, 2)).bit_length() - 1)
+    top = 8
+    while run_bytes(2 * top, 2, 2) <= MAX_SAMPLE_BYTES:
+        top *= 2
     return KeySpec("int", default, f"grid points: a power of two in [8, {top}]",
                    lambda n: 8 <= n <= top and n & (n - 1) == 0)
 
@@ -181,7 +180,6 @@ SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
         "samples_per_period": KeySpec("int", 32,
                                       "CSV samples per pi-long period, in [4, 4096]",
                                       lambda x: 4 <= x <= 4096),
-        "seed": _SEED,
     },
     "dispersion_scan": {
         "k_values": KeySpec("list_float", [0.125, 0.25, 0.375, 0.5],
@@ -199,7 +197,6 @@ SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
         "dt": _DT,
         "allow_unstable": KeySpec("bool", False,
                                   "permit probing wavenumbers above critical"),
-        "seed": _SEED,
     },
     "regime_compare": {
         "r": KeySpec("list_float", [0.1, 0.01, 0.001],
@@ -215,7 +212,6 @@ SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
         "sigma0": _positive_float(2.0, "packet width for the band-limited case"),
         "laplacian": _LAPLACIAN,
         "safety": _SAFETY,
-        "seed": _SEED,
     },
     "convergence": {
         "dts": KeySpec("list_float", [4e-3, 2e-3, 1e-3],
@@ -223,7 +219,6 @@ SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
                        "the one before", _halving),
         "A": _AMPLITUDE,
         "horizon_tau": _positive_float(10.0, "integration horizon"),
-        "seed": _SEED,
     },
     "pde_packet": {
         "form": KeySpec("str", "schrodinger",
@@ -244,7 +239,6 @@ SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
                                   "run despite unstable wavenumbers / oversized dt"),
         "samples": KeySpec("int", 128, "target number of stored snapshots, >= 1",
                            lambda x: x >= 1),
-        "seed": _SEED,
     },
 }
 
@@ -317,8 +311,10 @@ def parse_set_overrides(pairs: Iterable[str]) -> dict:
 # --------------------------------------------------------------------------
 
 
-# Rows formatted per write, which bounds the Python objects alive at once.
+# Rows formatted per write, which bounds the Python objects alive at once to
+# _CHUNK_VALUE_BYTES a value (85 to 120 B measured with tracemalloc).
 _CHUNK_ROWS = 1024
+_CHUNK_VALUE_BYTES = 128
 
 
 def write_csv(path: Path, header: list[str], columns: list) -> int:
@@ -404,37 +400,48 @@ def _fig1_dt(horizon: float, amplitude: float, interval: float) -> tuple[float, 
     return interval / steps_per_sample, steps_per_sample
 
 
+_FIG1_HEADER = ["t_over_tau", "re_psi", "im_psi", "abs_psi",
+                "re_psi_analytic", "im_psi_analytic", "abs_psi_analytic"]
+
+
+def _fig1_bytes(rows: list[int]) -> int:
+    """Bytes a fig1 run storing ``rows`` samples per horizon holds at once:
+    every horizon's kernel run and 32 B a row for its closed form and two
+    magnitude columns, all held until written, and the writer's chunk."""
+    return (sum(run_bytes(1, n, 2) + 32 * n for n in rows)
+            + _CHUNK_ROWS * _CHUNK_VALUE_BYTES * len(_FIG1_HEADER))
+
+
 def _run_fig1(params: dict) -> tuple[list[OutputFile], dict]:
     amplitude = params["A"]
     interval = math.pi / params["samples_per_period"]
     spec = FreeSolutionSpec.zero_initial(amplitude)
     initial = TemporalState(0.0 + 0.0j, 2j * amplitude)
-    outputs = []
     runs = []
     for horizon in params["horizon_tau"]:
         dt, stride = _fig1_dt(horizon, amplitude, interval)
         n_samples = int(math.floor(horizon / interval + 1e-12))
-        t_end = n_samples * stride * dt
-        traj = _refused(integrate_uniform, initial, 0.0, t_end, dt,
-                        sample_stride=stride)
-        exact = free_solution(spec, traj.times)
-        outputs.append(OutputFile(
-            name=f"fig1_horizon{horizon:g}.csv",
-            header=["t_over_tau", "re_psi", "im_psi", "abs_psi",
-                    "re_psi_analytic", "im_psi_analytic", "abs_psi_analytic"],
-            columns=[traj.times, *_parts(traj.psis), *_parts(exact)],
-        ))
         runs.append({"horizon_tau": horizon, "dt": dt, "sample_stride": stride,
                      "n_steps": n_samples * stride})
-    solver = {"runs": runs}
-    return outputs, solver
+    rows = [sample_rows(run["n_steps"], run["sample_stride"]) for run in runs]
+    _refused(check_bytes, _fig1_bytes(rows),
+             f"{sum(rows)} stored rows over {len(rows)} horizon(s)")
+    outputs = []
+    for run in runs:
+        traj = _refused(integrate_uniform, initial, 0.0, run["n_steps"] * run["dt"],
+                        run["dt"], sample_stride=run["sample_stride"])
+        exact = free_solution(spec, traj.times)
+        outputs.append(OutputFile(
+            name=f"fig1_horizon{run['horizon_tau']:g}.csv", header=_FIG1_HEADER,
+            columns=[traj.times, *_parts(traj.psis), *_parts(exact)],
+        ))
+    return outputs, {"runs": runs}
 
 
 def _refused(fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, with its refusals as configuration errors.
 
-    For the planning calls (``Grid``, ``PdeProblem``, ``_resolve_steps``,
-    ``integrate_uniform``) and ``evolve``'s check of the initial data, a
+    For the planning calls and ``evolve``'s check of the initial data, a
     ValueError means the inputs ask for a run that cannot be made: a size
     beyond the float or int64 range, a horizon that is not whole steps,
     arrays above ``kernels.MAX_SAMPLE_BYTES``, or what ``PdeProblem``
@@ -557,7 +564,7 @@ def _run_convergence(params: dict) -> tuple[list[OutputFile], dict]:
     initial = TemporalState(0.0 + 0.0j, 2j * amplitude)
     pairs = []
     for dt in dts:
-        n_steps = _refused(_resolve_steps, horizon, dt)
+        n_steps, _ = _refused(whole_steps, horizon, dt)
         stride = max(1, n_steps // 1000)
         traj = _refused(integrate_uniform, initial, 0.0, horizon, dt,
                         sample_stride=stride)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from nsblab import kernels
 from nsblab.analytic import CanonicalCoefficients
+from nsblab.integrator import TemporalState, integrate_uniform
 from nsblab.pde import Grid, stability_dt
 
 
@@ -162,23 +165,52 @@ def test_sample_steps_layout():
     assert list(kernels.sample_steps(12, 4)) == [0, 4, 8, 12]
     big = kernels.MAX_STEPS - 1
     assert list(kernels.sample_steps(big, 2**62)) == [0, 2**62, big]
-    with pytest.raises(ValueError):
-        kernels.sample_steps(-1, 1)
-    with pytest.raises(ValueError):
-        kernels.sample_steps(5, 0)
+    for n_steps, stride in ((0, 1), (10, 4), (12, 4), (7, 3), (1000, 7)):
+        assert kernels.sample_rows(n_steps, stride) == len(
+            kernels.sample_steps(n_steps, stride))
+    assert kernels.sample_rows(big, 2**62) == 3
+    for bad in ((-1, 1), (5, 0)):
+        with pytest.raises(ValueError):
+            kernels.sample_steps(*bad)
+        with pytest.raises(ValueError):
+            kernels.sample_rows(*bad)
 
 
 def test_stored_samples_are_capped_before_allocation():
-    # two complex128 components per stored row and grid point
-    rows = kernels.MAX_SAMPLE_BYTES // 32
-    kernels.check_sample_bytes(rows - 1, 1, 1)
-    kernels.check_sample_bytes(2 * rows - 2, 2, 1)
-    for n_steps, stride, points in [(rows, 1, 1), (rows // 4, 1, 4), (-1, 1, 1),
-                                    (5, 0, 1)]:
+    # a one-point run counts 64 B a stored row, 400 B of work arrays, and is
+    # refused above the cap whatever the stride
+    assert kernels.run_bytes(1, 10, 2) == 10 * 64 + 400
+    rows = (kernels.MAX_SAMPLE_BYTES - 400) // 64
+    kernels.check_bytes(kernels.run_bytes(1, rows, 2), "x")
+    with pytest.raises(ValueError, match="bytes"):
+        kernels.check_bytes(kernels.run_bytes(1, rows + 1, 2), "x")
+    for n_steps, stride, points in [(rows, 1, 1), (2 * rows, 2, 1), (rows // 2, 1, 4),
+                                    (-1, 1, 1), (5, 0, 1)]:
         with pytest.raises(ValueError):
-            kernels.check_sample_bytes(n_steps, stride, points)
-    with pytest.raises(ValueError, match="bytes"):  # 32 TB of samples
+            kernels._run_field(np.zeros((points, 2, 2)), (np.zeros(points),) * 2,
+                               1e-3, n_steps, stride)
+    with pytest.raises(ValueError, match="bytes"):  # 64 TB of arrays
         kernels.run_uniform(0.0j, 2.0j, 0.0, 1e-3, 10**12, 1)
+
+
+@pytest.mark.parametrize("n_steps,stride", [(1000, 1), (10000, 10), (9999, 7),
+                                            (65536, 1), (300000, 3)])
+def test_uniform_run_allocates_within_the_run_bytes(n_steps, stride):
+    # the one-point run's peak, the blow-up scan and the trajectory's times
+    # included, stays within the count and near it
+    need = kernels.run_bytes(1, kernels.sample_rows(n_steps, stride), 2)
+    runs = (lambda: kernels.run_uniform(0.0j, 2.0j, 0.0, 1e-3, n_steps, stride),
+            lambda: integrate_uniform(TemporalState(0.0j, 2.0j), 0.0,
+                                      n_steps * 1e-3, 1e-3, stride))
+    for run in runs:
+        run()  # warm-up
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * need < peak <= need
 
 
 def test_stencil_laplacian_constant_is_zero():

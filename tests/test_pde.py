@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +32,6 @@ from nsblab.pde import (
     growth_rates,
     mode_amplitudes,
     plane_wave_state,
-    run_bytes,
     schrodinger_consistent_state,
     spectral_filter,
     stability_dt,
@@ -153,14 +151,14 @@ def test_stability_dt_spatial_free_limit():
     assert tiny_r == pytest.approx(uniform_bound, rel=1e-6)
 
 
-def test_stability_dt_warns_when_everything_grows():
+@pytest.mark.filterwarnings("error")
+def test_stability_dt_is_silent_when_everything_grows():
+    # the step bound keeps its scale at v >= 1/2; the plan refuses such runs
+    # unless allow_unstable is set, so no warning is issued here
     g = Grid(32, 20.0)
     coeffs = CanonicalCoefficients(a_xx=1.0, a_tt=1.0, v=0.75)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        dt = stability_dt(coeffs, g, 0.7)
+    dt = stability_dt(coeffs, g, 0.7)
     assert dt > 0.0
-    assert any("unstable" in str(w.message) for w in caught)
 
 
 def test_stability_dt_rejects_bad_safety():
@@ -220,9 +218,7 @@ def test_problem_refuses_round_off_growth_beyond_the_budget():
     everything_grows = CanonicalCoefficients(a_xx=1.0, a_tt=1.0, v=0.75)
     with pytest.raises(ValueError, match="v >= 1/2"):
         PdeProblem(everything_grows, g, t_end=0.1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        PdeProblem(everything_grows, g, t_end=0.1, allow_unstable=True)
+    PdeProblem(everything_grows, g, t_end=0.1, allow_unstable=True)
     # with no growing mode any horizon is within budget
     assert growth_horizon(0.0) == math.inf
 
@@ -247,7 +243,7 @@ def test_problem_counts_every_array_before_making_any():
         PdeProblem(coeffs, g, t_end=2.0, dt=1e-3, snapshot_stride=1,
                    allow_unstable=True)
     prob = PdeProblem(coeffs, g, t_end=2.0, dt=1e-3, snapshot_stride=2)
-    assert prob.n_bytes == run_bytes(2**14, 1001, 2) <= kernels.MAX_SAMPLE_BYTES
+    assert prob.n_bytes == kernels.run_bytes(2**14, 1001, 2) <= kernels.MAX_SAMPLE_BYTES
 
 
 @pytest.mark.parametrize("a_tt", [0.0, 1.0])
@@ -444,9 +440,9 @@ def test_full_form_logs_l2_without_asserting_conservation():
                       snapshot_stride=1, laplacian="spectral")
     res = evolve(prob, state)
     # diagnostics exist and are finite for every snapshot; no conservation claim
-    assert res.l2_norm.shape == res.times.shape
-    assert res.max_abs.shape == res.times.shape
-    assert np.all(np.isfinite(res.l2_norm))
+    max_abs = np.abs(res.psi).max(axis=1)
+    assert res.l2_norm.shape == max_abs.shape == res.times.shape
+    assert np.all(np.isfinite(res.l2_norm)) and np.all(np.isfinite(max_abs))
 
 
 def test_packet_width_follows_free_spreading_law():
@@ -529,7 +525,8 @@ def test_filtered_packet_evolves_bounded():
     prob = PdeProblem(FULL_R1, g, t_end=t_end, snapshot_stride=1,
                       laplacian="spectral")
     res = evolve(prob, state)
-    assert np.max(res.max_abs) <= 2.5 * res.max_abs[0]
+    max_abs = np.abs(res.psi).max(axis=1)
+    assert np.max(max_abs) <= 2.5 * max_abs[0]
 
 
 def test_filter_rejects_negative_cut():

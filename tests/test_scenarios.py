@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from nsblab import scenarios
 from nsblab.cli import main
 from nsblab.constants import PhysicalConstants
-from nsblab.kernels import MAX_SAMPLE_BYTES
-from nsblab.pde import run_bytes
+from nsblab.kernels import MAX_SAMPLE_BYTES, run_bytes
 from nsblab.scenarios import (
     SCENARIO_KEYS,
     ConfigError,
@@ -233,19 +232,23 @@ def test_fig1_row_count_follows_sampling_rule():
 
 
 def test_fig1_peak_allocation_per_stored_row(tmp_path):
-    # Seven float64 columns are 56 B a row, and the kernel stores 32 B more;
-    # a list of row tuples of Python floats took about 330 B a row.
+    # Every horizon's columns are held until all are written: about 72 B a
+    # row, where a list of row tuples of Python floats took about 330 B.
+    # fig1 checks its count against the byte cap before any horizon runs.
     run_scenario("fig1", {"horizon_tau": [20.0]}, out_dir=tmp_path)  # warm-up
     tracemalloc.start()
     try:
-        manifest = run_scenario("fig1", {"horizon_tau": [2000.0]},
+        manifest = run_scenario("fig1", {"horizon_tau": [2000.0, 1000.0],
+                                         "samples_per_period": 64},
                                 out_dir=tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = manifest["outputs"][0]["rows"]
-    assert rows > 20000
-    assert peak / rows <= 200.0
+    rows = [out["rows"] for out in manifest["outputs"]]
+    assert sum(rows) > 60000
+    assert peak / sum(rows) <= 200.0
+    need = scenarios._fig1_bytes(rows)
+    assert 0.5 * need < peak <= need
 
 
 def test_fig1_rejects_zero_amplitude(tmp_path):
@@ -615,6 +618,8 @@ INVALID_RUNS = [
     ("dispersion_scan", ["safety=1e-18", "horizon_tau=1"]),
     ("regime_compare", ["safety=1e-9"]),
     ("fig1", ["horizon_tau=[1e6]", "samples_per_period=4096"]),
+    # 2.9e7 rows, whose arrays fig1 counts at 2.75 GB
+    ("fig1", ["horizon_tau=[1e6]", "samples_per_period=90"]),
     # a window too short for any phase to be measured
     ("dispersion_scan", ["horizon_tau=1e-100"]),
     # unstable modes that would amplify round-off by e^95 over the horizon
@@ -622,6 +627,7 @@ INVALID_RUNS = [
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "scenario, sets", INVALID_RUNS,
     ids=[f"{sc}-{'-'.join(sets)}".translate(str.maketrans("", "", "[]"))
@@ -649,6 +655,7 @@ def test_cli_exit_code_on_blow_up(tmp_path, capsys):
     assert "blew up" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 def test_cli_field_underflow_exits_3(tmp_path, capsys):
     # At v = 1e10 the stability-rule step takes ~3.5e10 steps, and RK4's
     # damping at |omega dt| ~ 2 takes the field to exactly zero on the way.
