@@ -23,7 +23,9 @@ still finite into infinities and report the blow-up early.
 Samples are stored every ``stride`` steps, plus the initial and final
 states.  The first stored sample whose magnitude is non-finite or at or
 above ``BLOWUP_MAGNITUDE`` ends the returned arrays; the caller turns that
-into a blow-up error.
+into a blow-up error.  In the first-order limit only psi is stored: its
+derivative, rate * psi mode by mode, is made on demand by
+:func:`first_order_derivative`, and counts towards the blow-up all the same.
 """
 
 from __future__ import annotations
@@ -91,12 +93,13 @@ def sample_steps(n_steps: int, stride: int) -> np.ndarray:
 
 
 # Bytes a run allocates, measured with tracemalloc (numpy 2.4) plus a
-# margin.  Per stored row and grid point, 40: two complex128 components and
-# a float64 magnitude for the blow-up scan and the diagnostics.  Per stored
+# margin.  Per stored row and grid point, one complex128 per component (two
+# in the second-order system, psi alone in the first-order limit) and a
+# float64 magnitude for the blow-up scan and the diagnostics.  Per stored
 # row, 24: the step index, the time and the scan's row maximum, most of a
 # one-point run's 57.  Per grid point, the work arrays of the first- or
 # second-order system: eigenvalues, a d x d matrix and the R^s temporaries.
-_POINT_ROW_BYTES = 40
+_POINT_ROW_BYTES = {1: 24, 2: 40}
 _ROW_BYTES = 24
 _WORK_BYTES = {1: 128, 2: 400}
 
@@ -104,7 +107,8 @@ _WORK_BYTES = {1: 128, 2: 400}
 def run_bytes(points: int, rows: int, order: int) -> int:
     """Bytes of every array a run of ``order`` (1 or 2) allocates on
     ``points`` grid points while storing ``rows`` samples, times included."""
-    return rows * (_POINT_ROW_BYTES * points + _ROW_BYTES) + _WORK_BYTES[order] * points
+    return (rows * (_POINT_ROW_BYTES[order] * points + _ROW_BYTES)
+            + _WORK_BYTES[order] * points)
 
 
 def check_bytes(need: int, what: str) -> int:
@@ -200,15 +204,44 @@ def _propagate(a: np.ndarray, spectra: np.ndarray, dt: float, n_steps: int,
         _advance(spectra, _power(step, n_steps % stride), rows - 1, rows, 1)
 
 
-def _truncate(out: np.ndarray, steps: np.ndarray):
-    """Cut ``out`` (components x samples x points) after its first bad row."""
-    # One component at a time, so the temporary is a quarter of ``out``.
-    ok = np.logical_and.reduce([np.abs(c).max(axis=1) < BLOWUP_MAGNITUDE
-                                for c in out])
+def schrodinger_rate(lam: np.ndarray, a_xx: float, v: float) -> np.ndarray:
+    """Rate of each mode in the first-order limit, psi_hat' = rate psi_hat:
+    i (-(a_xx / 2) lam - v), for Laplacian eigenvalues ``lam``."""
+    return 1j * (-0.5 * a_xx * lam - v)
+
+
+def first_order_derivative(psis: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """dpsi_dt = rate psi, mode by mode, of a field or of each row of a stack."""
+    out = np.fft.fft(psis, axis=-1)
+    out *= rate
+    return np.fft.ifft(out, axis=-1, out=out)
+
+
+def _first_bad_row(out: np.ndarray, rate) -> int:
+    """Index of the first bad row of ``out`` (components x samples x points),
+    else -1.  With ``rate`` (the first-order limit, one component) a row is
+    also bad where its derivative rate * psi is."""
+    if rate is None:
+        # One component at a time, so the temporary is a quarter of ``out``.
+        ok = np.logical_and.reduce([np.abs(c).max(axis=1) < BLOWUP_MAGNITUDE
+                                    for c in out])
+    else:
+        peak = np.abs(out[0]).max(axis=1)
+        ok = peak < BLOWUP_MAGNITUDE
+        # |rate * psi| <= max|rate| sqrt(n) max|psi| (Cauchy-Schwarz and
+        # Parseval).  Twice that, for rounding, below the blow-up magnitude
+        # clears a row; the derivative is formed only for the rows it cannot
+        # clear, one at a time, up to the first row whose psi is bad.
+        bound = 2.0 * float(np.abs(rate).max()) * math.sqrt(rate.shape[0])
+        bad_psi = np.flatnonzero(~ok)
+        end = int(bad_psi[0]) if bad_psi.size else len(ok)
+        for i in np.flatnonzero(~(bound * peak[:end] < BLOWUP_MAGNITUDE)):
+            dpsi = first_order_derivative(out[0, i], rate)
+            if not np.abs(dpsi).max() < BLOWUP_MAGNITUDE:
+                ok[i] = False
+                break
     bad = np.flatnonzero(~ok)
-    blow_slot = int(bad[0]) if bad.size else -1
-    rows = len(steps) if blow_slot < 0 else blow_slot + 1
-    return out[0, :rows], out[1, :rows], steps[:rows], blow_slot
+    return int(bad[0]) if bad.size else -1
 
 
 def run_uniform(psi0, phi0, v, dt, n_steps, stride=1):
@@ -230,22 +263,23 @@ def _run_field(a, initial, dt, n_steps, stride):
     """Step the spectra of ``initial`` under ``a`` and return the fields.
 
     ``a`` stacks one matrix per Fourier mode, shape (n, d, d), and
-    ``initial`` holds the d starting components.  In the first-order limit
-    (d = 1) the second returned component is dpsi_dt = a psi.
+    ``initial`` holds the d starting components.  Returns the d components
+    (samples x points each), the stored step indices and the blow-up slot,
+    every array cut after that slot.
     """
     points, d = a.shape[0], a.shape[-1]
     check_bytes(run_bytes(points, sample_rows(n_steps, stride), d),
                 f"{n_steps} steps stored every {stride} on {points} point(s)")
     steps = sample_steps(n_steps, stride)
-    out = np.empty((2, len(steps), points), dtype=np.complex128)
-    np.fft.fft(initial, axis=-1, out=out[:d, 0])
+    out = np.empty((d, len(steps), points), dtype=np.complex128)
+    np.fft.fft(initial, axis=-1, out=out[:, 0])
     with np.errstate(all="ignore"):  # unstable runs overflow; rows are checked
         _propagate(a, out, dt, n_steps, stride)
-        if d == 1:
-            np.multiply(out[0], a[:, 0, 0], out=out[1])
         np.fft.ifft(out, axis=-1, out=out)
-        out[:d, 0] = initial
-        return _truncate(out, steps)
+        out[:, 0] = initial
+        blow_slot = _first_bad_row(out, a[:, 0, 0] if d == 1 else None)
+    rows = len(steps) if blow_slot < 0 else blow_slot + 1
+    return (*out[:, :rows], steps[:rows], blow_slot)
 
 
 def run_field_second_order(psi0, phi0, a_xx, a_tt, v, dx, dt, n_steps,
@@ -271,10 +305,12 @@ def run_field_first_order(psi0, a_xx, v, dx, dt, n_steps, stride=1,
                           laplacian="stencil"):
     """Step the Schrodinger limit psi' = i ((a_xx / 2) lap psi - v psi).
 
-    Returns (psis, dpsis_dt, steps, blow_slot); the derivative is slaved to
-    psi in this limit and is computed from the same spectra.
+    Returns (psis, steps, blow_slot) as :func:`run_uniform` does, without
+    the derivative: it is slaved to psi in this limit, and
+    :func:`first_order_derivative` makes it from the rows when asked.  The
+    blow-up slot is the first row whose psi or derivative is bad.
     """
     psi0 = np.asarray(psi0, dtype=np.complex128)
     lam = laplacian_eigenvalues(psi0.shape[0], dx, laplacian)
-    a = (1j * (-0.5 * a_xx * lam - v)).reshape(-1, 1, 1)
+    a = schrodinger_rate(lam, a_xx, v).reshape(-1, 1, 1)
     return _run_field(a, (psi0,), float(dt), int(n_steps), int(stride))

@@ -251,16 +251,28 @@ class PdeProblem:
 
 @dataclass(eq=False)
 class EvolutionResult:
-    """Snapshots and per-snapshot diagnostics of one evolution run."""
+    """Snapshots and per-snapshot diagnostics of one evolution run.
+
+    The second-order system stores ``dpsi_dt``.  In the first-order limit it
+    is ``rate`` times psi, mode by mode, and is made from ``psi`` on first
+    read, outside the plan's byte count (16 B a stored row and grid point).
+    """
 
     times: np.ndarray
     psi: np.ndarray
-    dpsi_dt: np.ndarray
     l2_norm: np.ndarray
     dt: float
     n_steps: int
     snapshot_stride: int
     laplacian: str
+    _dpsi_dt: Optional[np.ndarray] = field(default=None, repr=False)
+    _rate: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def dpsi_dt(self) -> np.ndarray:
+        if self._dpsi_dt is None:
+            self._dpsi_dt = kernels.first_order_derivative(self.psi, self._rate)
+        return self._dpsi_dt
 
 
 def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
@@ -283,17 +295,19 @@ def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
                 raise ValueError("initial data has content at unstable wavenumbers; "
                                  "filter it (spectral_filter) or set allow_unstable")
     n_steps, stride = problem.n_steps, problem.snapshot_stride
+    coeffs = problem.coeffs
     psi0 = initial.psi.values
-    phi0 = initial.dpsi_dt.values
-    if problem.coeffs.a_tt == 0.0:
-        psis, phis, steps, blow = kernels.run_field_first_order(
-            psi0, problem.coeffs.a_xx, problem.coeffs.v, grid.dx, problem.dt,
-            n_steps, stride, problem.laplacian)
-    else:
-        psis, phis, steps, blow = kernels.run_field_second_order(
-            psi0, phi0, problem.coeffs.a_xx, problem.coeffs.a_tt,
-            problem.coeffs.v, grid.dx, problem.dt, n_steps, stride,
+    rate = dpsis = None
+    if coeffs.a_tt == 0.0:
+        psis, steps, blow = kernels.run_field_first_order(
+            psi0, coeffs.a_xx, coeffs.v, grid.dx, problem.dt, n_steps, stride,
             problem.laplacian)
+        rate = kernels.schrodinger_rate(
+            grid.laplacian_eigenvalues(problem.laplacian), coeffs.a_xx, coeffs.v)
+    else:
+        psis, dpsis, steps, blow = kernels.run_field_second_order(
+            psi0, initial.dpsi_dt.values, coeffs.a_xx, coeffs.a_tt, coeffs.v,
+            grid.dx, problem.dt, n_steps, stride, problem.laplacian)
     if blow >= 0:
         t_blow = float(steps[blow]) * problem.dt
         detail = ""
@@ -306,8 +320,9 @@ def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
     times = steps.astype(float) * problem.dt
     l2 = np.sqrt(np.sum(np.abs(psis) ** 2, axis=1) * grid.dx)
     return EvolutionResult(
-        times=times, psi=psis, dpsi_dt=phis, l2_norm=l2, dt=problem.dt,
-        n_steps=n_steps, snapshot_stride=stride, laplacian=problem.laplacian,
+        times=times, psi=psis, l2_norm=l2, dt=problem.dt, n_steps=n_steps,
+        snapshot_stride=stride, laplacian=problem.laplacian, _dpsi_dt=dpsis,
+        _rate=rate,
     )
 
 
@@ -357,9 +372,9 @@ def schrodinger_consistent_state(psi: ComplexField, coeffs: CanonicalCoefficient
     derivative applies the evolution's discrete Laplacian mode by mode,
     through its eigenvalues.
     """
-    lam = psi.grid.laplacian_eigenvalues(laplacian_mode)
-    rate = 1j * (-0.5 * coeffs.a_xx * lam - coeffs.v)
-    phi = np.fft.ifft(rate * np.fft.fft(psi.values))
+    rate = kernels.schrodinger_rate(psi.grid.laplacian_eigenvalues(laplacian_mode),
+                                    coeffs.a_xx, coeffs.v)
+    phi = kernels.first_order_derivative(psi.values, rate)
     return FieldState(psi, ComplexField(phi, psi.grid))
 
 
@@ -411,16 +426,27 @@ def fit_mode_growth(times: np.ndarray, amplitudes: np.ndarray) -> float:
     return float(np.polyfit(times, np.log(mags), 1)[0])
 
 
-def field_width(values: np.ndarray, grid: Grid, center: Optional[float] = None) -> float:
-    """Root-mean-square width of |psi|^2 about ``center`` (default: domain middle)."""
+def field_width(values: np.ndarray, grid: Grid,
+                center: Optional[float] = None) -> ArrayLike:
+    """Root-mean-square width of |psi|^2 about ``center`` (default: domain
+    middle): a float for one field, an array for a stack of rows (samples x
+    points), reduced ``kernels.BLOCK_ROWS`` rows at a time."""
     if center is None:
         center = 0.5 * grid.length
-    w = np.abs(np.asarray(values)) ** 2
-    total = float(w.sum())
-    if total <= 0.0:
-        raise ValueError("field has no mass")
+    values = np.asarray(values)
+    rows = values.reshape(-1, grid.n)
     d = _wrapped_offsets(grid, center)
-    return math.sqrt(float((w * d * d).sum()) / total)
+    widths = np.empty(rows.shape[0])
+    for a in range(0, rows.shape[0], kernels.BLOCK_ROWS):
+        w = np.abs(rows[a:a + kernels.BLOCK_ROWS])
+        w *= w
+        total = w.sum(axis=-1)
+        if (total <= 0.0).any():
+            raise ValueError("field has no mass")
+        w *= d  # in this order: w * (d * d) can differ in the last bit
+        w *= d
+        widths[a:a + kernels.BLOCK_ROWS] = np.sqrt(w.sum(axis=-1) / total)
+    return float(widths[0]) if values.ndim == 1 else widths
 
 
 def width_law(sigma0: float, r: float, t: ArrayLike) -> ArrayLike:

@@ -40,7 +40,14 @@ from .integrator import (
     convergence_order,
     integrate_uniform,
 )
-from .kernels import MAX_SAMPLE_BYTES, check_bytes, run_bytes, sample_rows, whole_steps
+from .kernels import (
+    BLOCK_ROWS,
+    MAX_SAMPLE_BYTES,
+    check_bytes,
+    run_bytes,
+    sample_rows,
+    whole_steps,
+)
 from .pde import (
     LAPLACIAN_MODES,
     FieldState,
@@ -519,40 +526,54 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     return outputs, solver
 
 
+def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over two stacks of rows, a block of rows at a time."""
+    return float(max(np.abs(a[i:i + BLOCK_ROWS] - b[i:i + BLOCK_ROWS]).max()
+                     for i in range(0, len(a), BLOCK_ROWS)))
+
+
+def _regime_plans(params: dict, grid: Grid, r: float) -> tuple[PdeProblem, PdeProblem]:
+    """The full and the macroscopic form's plans at mass ratio ``r``, refused
+    when the arrays of both runs, which are held at once, exceed the cap."""
+    full, macro = (reduce_equation(EquationParameters(r, params["v"], form))
+                   for form in (EquationForm.FULL, EquationForm.MACROSCOPIC))
+    # The macroscopic frequencies are the full form's at k = 0, so the full
+    # form's stability-rule step is the smaller, and both take it.
+    full_plan = _refused(PdeProblem, full, grid, t_end=params["horizon_tau"],
+                         snapshot_stride=1, laplacian=params["laplacian"],
+                         safety=params["safety"], min_steps=8)
+    macro_plan = _refused(PdeProblem, macro, grid, t_end=params["horizon_tau"],
+                          dt=full_plan.dt, snapshot_stride=1,
+                          laplacian=params["laplacian"], min_steps=8)
+    _refused(check_bytes, full_plan.n_bytes + macro_plan.n_bytes,
+             f"the full and the macroscopic run of {full_plan.n_steps} steps, "
+             f"every step stored, on {grid.n} points")
+    return full_plan, macro_plan
+
+
 def _run_regime_compare(params: dict) -> tuple[list[OutputFile], dict]:
     grid = _refused(Grid, params["n"], params["L"])
     lap_mode = params["laplacian"]
-    horizon = params["horizon_tau"]
     uniform_initial = FieldState.uniform(grid, 0.0, 2.0j)
     packet_psi = gaussian_packet(grid, params["sigma0"])
     rows = []
     dts = []
     for r in params["r"]:
-        full = reduce_equation(EquationParameters(r, params["v"], EquationForm.FULL))
-        macro = reduce_equation(
-            EquationParameters(r, params["v"], EquationForm.MACROSCOPIC))
-        # The macroscopic frequencies are the full form's at k = 0, so the
-        # full form's stability-rule step is the smaller, and both take it.
-        full_plan = _refused(PdeProblem, full, grid, t_end=horizon,
-                             snapshot_stride=1, laplacian=lap_mode,
-                             safety=params["safety"], min_steps=8)
-        macro_plan = _refused(PdeProblem, macro, grid, t_end=horizon,
-                              dt=full_plan.dt, snapshot_stride=1,
-                              laplacian=lap_mode, min_steps=8)
-        dts.append(full_plan.dt)
-        packet_initial = schrodinger_consistent_state(packet_psi, full, lap_mode)
-        distances = []
-        for initial in (uniform_initial, packet_initial):
-            fields = [_refused(evolve, plan, initial).psi
-                      for plan in (full_plan, macro_plan)]
-            distances.append(float(np.max(np.abs(fields[0] - fields[1]))))
+        plans = _regime_plans(params, grid, r)
+        dts.append(plans[0].dt)
+        packet_initial = schrodinger_consistent_state(packet_psi, plans[0].coeffs,
+                                                      lap_mode)
+        # One initial state's fields are freed before the next one's run.
+        distances = [_sup_distance(*[_refused(evolve, plan, initial).psi
+                                     for plan in plans])
+                     for initial in (uniform_initial, packet_initial)]
         rows.append((r, distances[0], distances[1]))
     outputs = [OutputFile(
         name="regime_compare_distances.csv",
         header=["r", "sup_distance_uniform", "sup_distance_packet"],
         columns=list(zip(*rows)),
     )]
-    solver = {"dts": dts, "horizon_tau": horizon, "laplacian": lap_mode}
+    solver = {"dts": dts, "horizon_tau": params["horizon_tau"], "laplacian": lap_mode}
     return outputs, solver
 
 
@@ -583,6 +604,15 @@ def _run_convergence(params: dict) -> tuple[list[OutputFile], dict]:
     return outputs, solver
 
 
+_PACKET_HEADER = ["t_hat", "width_measured", "width_analytic", "rel_err"]
+
+
+def _packet_bytes(plan_bytes: int, rows: int) -> int:
+    """Bytes a pde_packet run holds at once: its plan's count, 32 B a stored
+    row for the four width columns, and the writer's chunk."""
+    return plan_bytes + 32 * rows + _CHUNK_ROWS * _CHUNK_VALUE_BYTES * len(_PACKET_HEADER)
+
+
 def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
     form = params["form"]
     grid = _refused(Grid, params["n"], params["L"])
@@ -608,24 +638,22 @@ def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
                     allow_unstable=params["allow_unstable"])
     psi0 = gaussian_packet(grid, sigma0)
     initial = schrodinger_consistent_state(psi0, coeffs, lap_mode)
+    rows = sample_rows(plan.n_steps, plan.snapshot_stride)
+    _refused(check_bytes, _packet_bytes(plan.n_bytes, rows),
+             f"{rows} stored rows of {grid.n} points and their widths")
     result = _refused(evolve, plan, initial)
     empty = np.flatnonzero(result.l2_norm == 0.0)
     if empty.size:  # RK4's damping can take a long run below the float range
         raise UnderflowError(float(result.times[empty[0]]))
-    analytic_ok = form == "schrodinger" and v == 0.0
-    width_rows = []
-    for i, t in enumerate(result.times):
-        measured = field_width(result.psi[i], grid)
-        if analytic_ok:
-            expected = width_law(sigma0, r, t)
-            rel = abs(measured - expected) / expected
-        else:
-            expected, rel = float("nan"), float("nan")
-        width_rows.append((t, measured, expected, rel))
+    measured = field_width(result.psi, grid)
+    if form == "schrodinger" and v == 0.0:
+        expected = width_law(sigma0, r, result.times)
+        rel = np.abs(measured - expected) / expected
+    else:
+        expected = rel = np.full(rows, np.nan)
     outputs = [
-        OutputFile("pde_packet_width.csv",
-                   ["t_hat", "width_measured", "width_analytic", "rel_err"],
-                   list(zip(*width_rows))),
+        OutputFile("pde_packet_width.csv", _PACKET_HEADER,
+                   [result.times, measured, expected, rel]),
         OutputFile("pde_packet_profile.csv",
                    ["xi_hat", "re_psi", "im_psi", "abs_psi"],
                    [grid.xi(), *_parts(result.psi[-1])]),

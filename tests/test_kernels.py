@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nsblab import kernels
 from nsblab.analytic import CanonicalCoefficients
 from nsblab.integrator import TemporalState, integrate_uniform
-from nsblab.pde import Grid, stability_dt
+from nsblab.pde import ComplexField, FieldState, Grid, PdeProblem, evolve, stability_dt
 
 
 def random_state(n, seed, scale=0.1):
@@ -137,6 +137,18 @@ def reference_uniform(psi0, phi0, v, dt, n_steps, stride):
         np.array([psi0], dtype=np.complex128), np.array([phi0], dtype=np.complex128),
         0.0, 1.0, v, 1.0, dt, n_steps, stride, "stencil")
     return psis[:, 0], phis[:, 0], steps
+
+
+def run_first_order(psi0, a_xx, v, dx, dt, n_steps, stride, laplacian):
+    """The first-order kernel's run as (psis, dpsis_dt, steps, blow_slot), the
+    order the reference returns, with the derivative made on demand."""
+    psis, steps, blow = kernels.run_field_first_order(psi0, a_xx, v, dx, dt,
+                                                      n_steps, stride, laplacian)
+    lam = kernels.laplacian_eigenvalues(len(psi0), dx, laplacian)
+    with np.errstate(all="ignore"):  # a blown-up row's derivative overflows
+        dpsis = kernels.first_order_derivative(
+            psis, kernels.schrodinger_rate(lam, a_xx, v))
+    return psis, dpsis, steps, blow
 
 
 def reference_blow_slot(psis, phis):
@@ -291,8 +303,7 @@ def test_propagator_matches_reference(order, laplacian, n_steps, stride):
     else:
         coeffs = CanonicalCoefficients(a_xx=A_XX, a_tt=0.0, v=V)
         dt = stability_dt(coeffs, Grid(N, N * DX), 0.9, laplacian)
-        got = kernels.run_field_first_order(psi, A_XX, V, DX, dt, n_steps,
-                                            stride, laplacian)
+        got = run_first_order(psi, A_XX, V, DX, dt, n_steps, stride, laplacian)
         want = reference_first_order(psi, A_XX, V, DX, dt, n_steps, stride,
                                      laplacian)
     assert_matches(got, want)
@@ -328,8 +339,7 @@ def test_propagator_matches_reference_property(order, laplacian, n, dx_scale, r,
         want = reference_second_order(psi, phi, r, 1.0, v, dx, dt, n_steps,
                                       stride, laplacian)
     else:
-        got = kernels.run_field_first_order(psi, r, v, dx, dt, n_steps, stride,
-                                            laplacian)
+        got = run_first_order(psi, r, v, dx, dt, n_steps, stride, laplacian)
         want = reference_first_order(psi, r, v, dx, dt, n_steps, stride,
                                      laplacian)
     assert np.array_equal(got[2], kernels.sample_steps(n_steps, stride))
@@ -354,6 +364,38 @@ def test_rerun_is_bit_identical():
     b = kernels.run_field_second_order(*args, stride=50, laplacian="stencil")
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
+
+
+def test_clean_first_order_run_transforms_its_rows_back_once(monkeypatch):
+    # every row is cleared by the bound on its derivative, so none is formed
+    calls = []
+    ifft = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    psi, _ = random_state(N, 2)
+    psis, steps, blow = kernels.run_field_first_order(psi, A_XX, V, DX, 0.5,
+                                                      1000, 7, "spectral")
+    assert blow == -1 and len(psis) == len(steps) == 144
+    assert len(calls) == 1
+
+
+def test_first_order_evolution_makes_its_derivative_on_first_read():
+    psi, _ = random_state(N, 5)
+    coeffs = CanonicalCoefficients(a_xx=A_XX, a_tt=0.0, v=V)
+    plan = PdeProblem(coeffs, Grid(N, N * DX), t_end=60.0, snapshot_stride=9,
+                      laplacian="stencil")
+    field = ComplexField(psi, plan.grid)
+    result = evolve(plan, FieldState(field, field))  # psi alone is stepped
+    assert result._dpsi_dt is None
+    want = reference_first_order(psi, A_XX, V, DX, plan.dt, plan.n_steps,
+                                 plan.snapshot_stride, "stencil")
+    assert_close(result.psi, want[0])
+    assert_close(result.dpsi_dt, want[1])
+    assert result.dpsi_dt is result.dpsi_dt
 
 
 # --------------------------------------------------------------------------
@@ -383,8 +425,7 @@ def run_both(order, laplacian, psi, phi, dx, dt, n_steps, stride):
             want = reference_second_order(psi, phi, 1.0, 1.0, 0.0, dx, dt,
                                           n_steps, stride, laplacian)
     else:
-        got = kernels.run_field_first_order(psi, 1.0, 0.0, dx, dt, n_steps,
-                                            stride, laplacian)
+        got = run_first_order(psi, 1.0, 0.0, dx, dt, n_steps, stride, laplacian)
         with np.errstate(all="ignore"):
             want = reference_first_order(psi, 1.0, 0.0, dx, dt, n_steps, stride,
                                          laplacian)

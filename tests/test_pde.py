@@ -593,3 +593,38 @@ def test_width_law_values():
     assert width_law(2.0, 1.0, t_double) == pytest.approx(4.0, rel=1e-12)
     with pytest.raises(ValueError):
         width_law(-1.0, 1.0, 0.0)
+
+
+def per_row_width(row, grid, center):
+    """The width of one row written out: offsets, then w * d * d in order."""
+    d = (grid.xi() - center + 0.5 * grid.length) % grid.length - 0.5 * grid.length
+    w = np.abs(row) ** 2
+    return math.sqrt(float((w * d * d).sum()) / float(w.sum()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([8, 16, 64, 256, 2048]),
+       rows=st.integers(1, 200),
+       center=st.floats(-100.0, 100.0),
+       scale=st.sampled_from([1e-150, 1e-5, 1.0, 1e5, 1e150]),
+       seed=st.integers(0, 2**32 - 1))
+def test_field_width_of_a_stack_equals_each_row_bit_for_bit(n, rows, center, scale,
+                                                            seed):
+    # rows reach past one block of kernels.BLOCK_ROWS and end in a partial one
+    grid = Grid(n, 37.0)
+    rng = np.random.default_rng(seed)
+    stack = scale * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+    widths = field_width(stack, grid, center)
+    assert widths.shape == (rows,)
+    for i in range(rows):
+        want = per_row_width(stack[i], grid, center)
+        assert field_width(stack[i], grid, center) == want
+        assert widths[i] == want
+
+
+def test_field_width_refuses_a_row_without_mass():
+    grid = Grid(8, 8.0)
+    stack = np.ones((70, 8), dtype=np.complex128)
+    stack[67] = 0.0
+    with pytest.raises(ValueError, match="no mass"):
+        field_width(stack, grid)

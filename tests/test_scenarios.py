@@ -14,6 +14,7 @@ from nsblab import scenarios
 from nsblab.cli import main
 from nsblab.constants import PhysicalConstants
 from nsblab.kernels import MAX_SAMPLE_BYTES, run_bytes
+from nsblab.pde import Grid
 from nsblab.scenarios import (
     SCENARIO_KEYS,
     ConfigError,
@@ -370,6 +371,42 @@ def test_pde_packet_width_output(tmp_path):
     assert manifest["solver"]["form"] == "schrodinger"
 
 
+def peak_bytes(scenario, params, out_dir):
+    """tracemalloc peak of one run of ``scenario``, after a warm-up run."""
+    run_scenario(scenario, params, out_dir=out_dir)
+    tracemalloc.start()
+    try:
+        manifest = run_scenario(scenario, params, out_dir=out_dir)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return manifest, peak
+
+
+def test_pde_packet_allocates_within_its_count(tmp_path):
+    # 200,001 snapshots of 8 points: the width columns, which the count adds
+    # to the plan's, are most of what a small grid holds beside the kernel
+    params = {"n": 8, "L": 80.0, "sigma0": 20.0, "horizon_tau": 20000.0,
+              "dt": 0.1, "samples": 200000}
+    manifest, peak = peak_bytes("pde_packet", params, tmp_path)
+    rows = manifest["outputs"][0]["rows"]
+    assert rows == 200001
+    need = scenarios._packet_bytes(run_bytes(8, rows, 1), rows)
+    assert 0.5 * need < peak <= need
+
+
+@pytest.mark.parametrize("overrides", [{}, {"n": 4096, "L": 8192.0, "r": [0.1]},
+                                       {"n": 64, "L": 80.0, "horizon_tau": 200.0}])
+def test_regime_compare_allocates_within_both_plans(tmp_path, overrides):
+    # both runs' fields are held at once, so both plans are counted together
+    params = resolve_config("regime_compare", {}, overrides)
+    _, peak = peak_bytes("regime_compare", params, tmp_path)
+    grid = Grid(params["n"], params["L"])
+    need = max(sum(plan.n_bytes for plan in scenarios._regime_plans(params, grid, r))
+               for r in params["r"])
+    assert 0.5 * need < peak <= need
+
+
 def test_pde_packet_full_form_requires_unstable_opt_in(tmp_path):
     # the default grid resolves wavenumbers above critical, so the full
     # form refuses to run without the override
@@ -617,6 +654,9 @@ INVALID_RUNS = [
     # arrays above kernels.MAX_SAMPLE_BYTES, refused before any allocation
     ("dispersion_scan", ["safety=1e-18", "horizon_tau=1"]),
     ("regime_compare", ["safety=1e-9"]),
+    # 5,104 rows of 4,096 points: one run's arrays fit the cap, both runs'
+    # arrays, held at once, do not
+    ("regime_compare", ["n=4096", "L=8192", "r=[0.1]", "horizon_tau=5000"]),
     ("fig1", ["horizon_tau=[1e6]", "samples_per_period=4096"]),
     # 2.9e7 rows, whose arrays fig1 counts at 2.75 GB
     ("fig1", ["horizon_tau=[1e6]", "samples_per_period=90"]),
