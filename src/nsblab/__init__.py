@@ -37,7 +37,6 @@ from .analytic import (
 from .integrator import (
     BlowUpError,
     TemporalState,
-    Trajectory,
     convergence_order,
     integrate_uniform,
 )
@@ -79,7 +78,7 @@ __all__ = [
     "dispersion_branches", "critical_wavenumber",
     "AllWavenumbersUnstableError",
     # integrator
-    "TemporalState", "Trajectory", "BlowUpError", "integrate_uniform",
+    "TemporalState", "BlowUpError", "integrate_uniform",
     "convergence_order",
     # pde
     "Grid", "ComplexField", "FieldState", "PdeProblem", "EvolutionResult",

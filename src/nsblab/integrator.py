@@ -8,16 +8,16 @@ written as the first-order system
 with time in tau_p units.  It is stepped by classical fixed-step RK4
 (order 4, stability |lambda| dt <= 2.8 on the imaginary axis) as the one
 mode of a one-point grid in ``kernels``, the propagator that also drives
-the field solver in ``pde``.  This module holds the run records and the
-blow-up errors the scenarios share.
+the field solver in ``pde``.  This module holds the run record that it
+and ``pde.evolve`` return, and the blow-up errors the scenarios share.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -57,44 +57,34 @@ class TemporalState:
             raise ValueError("state components must be finite")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled states of one integration run.
+@dataclass(eq=False)
+class EvolutionResult:
+    """Stored samples of one run: ``times`` from 0, and ``psi`` and
+    ``dpsi_dt``, one row (a value, for the uniform system) per sample.
 
-    ``times`` are the sample instants (strictly increasing, starting at 0),
-    ``psis``/``dpsis_dt`` the corresponding values, and ``sample_stride``
-    the number of solver steps between stored samples.
+    In the first-order limit ``dpsi_dt`` is ``rate`` times psi, mode by
+    mode, made on first read; ValueError when psi and it together exceed
+    ``kernels.MAX_SAMPLE_BYTES``, counted as a second-order run's rows.
     """
 
     times: np.ndarray
-    psis: np.ndarray
-    dpsis_dt: np.ndarray
-    sample_stride: int
-
-    def __post_init__(self) -> None:
-        if not (len(self.times) == len(self.psis) == len(self.dpsis_dt)):
-            raise ValueError("times and state arrays must have equal length")
-        if len(self.times) == 0:
-            raise ValueError("trajectory cannot be empty")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def state(self, i: int) -> TemporalState:
-        return TemporalState(complex(self.psis[i]), complex(self.dpsis_dt[i]))
+    psi: np.ndarray
+    _dpsi_dt: Optional[np.ndarray] = field(default=None, repr=False)
+    _rate: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
-    def final_state(self) -> TemporalState:
-        return self.state(len(self) - 1)
+    def dpsi_dt(self) -> np.ndarray:
+        if self._dpsi_dt is None:
+            rows, points = self.psi.shape
+            kernels.check_bytes(kernels.run_bytes(points, rows, 2),
+                                f"{rows} rows of {points} points and their derivative")
+            self._dpsi_dt = kernels.first_order_derivative(self.psi, self._rate)
+        return self._dpsi_dt
 
 
 def integrate_uniform(initial: TemporalState, v: float, t_end: float,
-                      dt: float, sample_stride: int = 1) -> Trajectory:
-    """RK4 trajectory of the uniform system from ``initial`` to ``t_end``.
+                      dt: float, sample_stride: int = 1) -> EvolutionResult:
+    """RK4 run of the uniform system from ``initial`` to ``t_end``.
 
     ``t_end`` must be a whole number of steps of ``dt``, as
     :func:`kernels.whole_steps` decides.  Samples are stored every
@@ -112,9 +102,7 @@ def integrate_uniform(initial: TemporalState, v: float, t_end: float,
         initial.psi, initial.dpsi_dt, v, dt, n_steps, sample_stride)
     if blow_slot >= 0:
         raise BlowUpError(float(steps[blow_slot]) * dt)
-    times = steps.astype(float) * dt
-    return Trajectory(times=times, psis=psis, dpsis_dt=phis,
-                      sample_stride=sample_stride)
+    return EvolutionResult(steps.astype(float) * dt, psis, phis)
 
 
 def convergence_order(errors: Sequence[tuple[float, float]]) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .analytic import CanonicalCoefficients, dispersion_branches
-from .integrator import BlowUpError
+from .integrator import BlowUpError, EvolutionResult
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -249,32 +249,6 @@ class PdeProblem:
             object.__setattr__(self, name, value)
 
 
-@dataclass(eq=False)
-class EvolutionResult:
-    """Snapshots and per-snapshot diagnostics of one evolution run.
-
-    The second-order system stores ``dpsi_dt``.  In the first-order limit it
-    is ``rate`` times psi, mode by mode, and is made from ``psi`` on first
-    read, outside the plan's byte count (16 B a stored row and grid point).
-    """
-
-    times: np.ndarray
-    psi: np.ndarray
-    l2_norm: np.ndarray
-    dt: float
-    n_steps: int
-    snapshot_stride: int
-    laplacian: str
-    _dpsi_dt: Optional[np.ndarray] = field(default=None, repr=False)
-    _rate: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def dpsi_dt(self) -> np.ndarray:
-        if self._dpsi_dt is None:
-            self._dpsi_dt = kernels.first_order_derivative(self.psi, self._rate)
-        return self._dpsi_dt
-
-
 def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
     """Run ``problem``'s plan from ``initial``.
 
@@ -317,13 +291,7 @@ def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
             k_dom = grid.wavenumbers()[int(np.argmax(spectrum))]
             detail = f"dominant content near k_hat={k_dom:.4g}"
         raise BlowUpError(t_blow, detail)
-    times = steps.astype(float) * problem.dt
-    l2 = np.sqrt(np.sum(np.abs(psis) ** 2, axis=1) * grid.dx)
-    return EvolutionResult(
-        times=times, psi=psis, l2_norm=l2, dt=problem.dt, n_steps=n_steps,
-        snapshot_stride=stride, laplacian=problem.laplacian, _dpsi_dt=dpsis,
-        _rate=rate,
-    )
+    return EvolutionResult(steps.astype(float) * problem.dt, psis, dpsis, rate)
 
 
 def spectral_filter(state: FieldState, k_cut: float) -> FieldState:

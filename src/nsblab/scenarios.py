@@ -440,7 +440,7 @@ def _run_fig1(params: dict) -> tuple[list[OutputFile], dict]:
         exact = free_solution(spec, traj.times)
         outputs.append(OutputFile(
             name=f"fig1_horizon{run['horizon_tau']:g}.csv", header=_FIG1_HEADER,
-            columns=[traj.times, *_parts(traj.psis), *_parts(exact)],
+            columns=[traj.times, *_parts(traj.psi), *_parts(exact)],
         ))
     return outputs, {"runs": runs}
 
@@ -563,9 +563,11 @@ def _run_regime_compare(params: dict) -> tuple[list[OutputFile], dict]:
         dts.append(plans[0].dt)
         packet_initial = schrodinger_consistent_state(packet_psi, plans[0].coeffs,
                                                       lap_mode)
-        # One initial state's fields are freed before the next one's run.
-        distances = [_sup_distance(*[_refused(evolve, plan, initial).psi
-                                     for plan in plans])
+        # The first run's psi is copied out, so its derivative rows are freed
+        # before the second run; one initial state's fields are freed before
+        # the next one's run.
+        distances = [_sup_distance(_refused(evolve, plans[0], initial).psi.copy(),
+                                   _refused(evolve, plans[1], initial).psi)
                      for initial in (uniform_initial, packet_initial)]
         rows.append((r, distances[0], distances[1]))
     outputs = [OutputFile(
@@ -590,7 +592,7 @@ def _run_convergence(params: dict) -> tuple[list[OutputFile], dict]:
         traj = _refused(integrate_uniform, initial, 0.0, horizon, dt,
                         sample_stride=stride)
         exact = free_solution(spec, traj.times)
-        pairs.append((dt, float(np.max(np.abs(traj.psis - exact)))))
+        pairs.append((dt, float(np.max(np.abs(traj.psi - exact)))))
     try:
         order = convergence_order(pairs)
     except ValueError as exc:
@@ -642,10 +644,15 @@ def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
     _refused(check_bytes, _packet_bytes(plan.n_bytes, rows),
              f"{rows} stored rows of {grid.n} points and their widths")
     result = _refused(evolve, plan, initial)
-    empty = np.flatnonzero(result.l2_norm == 0.0)
-    if empty.size:  # RK4's damping can take a long run below the float range
-        raise UnderflowError(float(result.times[empty[0]]))
-    measured = field_width(result.psi, grid)
+    try:
+        measured = field_width(result.psi, grid)
+    except ValueError:  # a row with no mass: RK4's damping can underflow it
+        mass = np.abs(result.psi)
+        mass *= mass
+        empty = np.flatnonzero(mass.sum(axis=1) == 0.0)
+        if not empty.size:
+            raise
+        raise UnderflowError(float(result.times[empty[0]])) from None
     if form == "schrodinger" and v == 0.0:
         expected = width_law(sigma0, r, result.times)
         rel = np.abs(measured - expected) / expected
@@ -656,10 +663,10 @@ def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
                    [result.times, measured, expected, rel]),
         OutputFile("pde_packet_profile.csv",
                    ["xi_hat", "re_psi", "im_psi", "abs_psi"],
-                   [grid.xi(), *_parts(result.psi[-1])]),
+                   [grid.xi(), *_parts(result.psi[-1].copy())]),
     ]
     solver = {"form": form, "dt": plan.dt, "n_steps": plan.n_steps,
-              "snapshot_stride": result.snapshot_stride, "horizon_tau": horizon,
+              "snapshot_stride": plan.snapshot_stride, "horizon_tau": horizon,
               "laplacian": lap_mode}
     return outputs, solver
 

@@ -133,8 +133,8 @@ def test_criterion_6_instability_boundary():
     expected = max(roots.gamma1.real, roots.gamma2.real)
     traj = integrate_uniform(TemporalState(0.0, 2.0j), 0.75, 20.0, 1e-3,
                              sample_stride=100)
-    half = len(traj) // 2  # fit the trailing half, where the decaying root is gone
-    uniform_rate = fit_mode_growth(traj.times[half:], traj.psis[half:])
+    half = len(traj.times) // 2  # fit the trailing half, where the decaying root is gone
+    uniform_rate = fit_mode_growth(traj.times[half:], traj.psi[half:])
     uniform_ok = abs(uniform_rate - expected) / expected < 0.02
     _report(6, "instability boundary", mode_ok and uniform_ok,
             f"k=1.2: rate {rate:.5f} vs {omega_p.imag:.5f}; "

@@ -7,7 +7,6 @@ from nsblab.analytic import FreeSolutionSpec, free_solution
 from nsblab.integrator import (
     BlowUpError,
     TemporalState,
-    Trajectory,
     convergence_order,
     integrate_uniform,
 )
@@ -31,21 +30,21 @@ def test_state_must_be_finite():
 
 def test_single_step_matches_analytic():
     dt = 1e-3
-    out = integrate_uniform(INITIAL, 0.0, dt, dt).final_state
-    assert out.psi == pytest.approx(free_solution(SPEC, dt), abs=1e-14)
+    out = integrate_uniform(INITIAL, 0.0, dt, dt)
+    assert out.psi[-1] == pytest.approx(free_solution(SPEC, dt), abs=1e-14)
 
 
 def test_zero_state_is_fixed_point():
-    out = integrate_uniform(TemporalState(0.0, 0.0), 0.0, 0.1, 0.1).final_state
-    assert out.psi == 0.0 and out.dpsi_dt == 0.0
+    out = integrate_uniform(TemporalState(0.0, 0.0), 0.0, 0.1, 0.1)
+    assert out.psi[-1] == 0.0 and out.dpsi_dt[-1] == 0.0
 
 
 def test_step_error_ratio_is_fourth_order():
     t_end = 1.0
     errs = []
     for dt in (0.1, 0.05):
-        state = integrate_uniform(INITIAL, 0.0, t_end, dt).final_state
-        errs.append(abs(state.psi - free_solution(SPEC, t_end)))
+        run = integrate_uniform(INITIAL, 0.0, t_end, dt)
+        errs.append(abs(run.psi[-1] - free_solution(SPEC, t_end)))
     assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.25)
 
 
@@ -58,7 +57,7 @@ def test_integrate_uniform_rejects_bad_dt():
 def test_integrate_long_horizon_accuracy():
     traj = integrate_uniform(INITIAL, 0.0, 100.0, 1e-3, sample_stride=100)
     exact = free_solution(SPEC, traj.times)
-    assert np.max(np.abs(traj.psis - exact)) < 1e-8
+    assert np.max(np.abs(traj.psi - exact)) < 1e-8
 
 
 def test_trajectory_shape_and_endpoints():
@@ -66,15 +65,14 @@ def test_trajectory_shape_and_endpoints():
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(traj.times) > 0.0)
-    assert len(traj) == len(traj.times)
-    assert traj.final_state.psi == traj.psis[-1]
+    assert len(traj.psi) == len(traj.dpsi_dt) == len(traj.times)
 
 
 def test_zero_horizon_gives_single_sample():
     traj = integrate_uniform(INITIAL, 0.0, 0.0, 0.1)
-    assert len(traj) == 1
+    assert len(traj.times) == 1
     assert traj.times[0] == 0.0
-    assert traj.psis[0] == INITIAL.psi
+    assert traj.psi[0] == INITIAL.psi
 
 
 def test_non_divisible_horizon_rejected():
@@ -85,8 +83,8 @@ def test_non_divisible_horizon_rejected():
 def test_determinism():
     a = integrate_uniform(INITIAL, 0.2, 5.0, 1e-3, sample_stride=10)
     b = integrate_uniform(INITIAL, 0.2, 5.0, 1e-3, sample_stride=10)
-    assert np.array_equal(a.psis, b.psis)
-    assert np.array_equal(a.dpsis_dt, b.dpsis_dt)
+    assert np.array_equal(a.psi, b.psi)
+    assert np.array_equal(a.dpsi_dt, b.dpsi_dt)
 
 
 def test_linearity():
@@ -94,7 +92,7 @@ def test_linearity():
     scaled = TemporalState(alpha * INITIAL.psi, alpha * INITIAL.dpsi_dt)
     a = integrate_uniform(INITIAL, 0.0, 3.0, 1e-3, sample_stride=100)
     b = integrate_uniform(scaled, 0.0, 3.0, 1e-3, sample_stride=100)
-    assert np.max(np.abs(b.psis - alpha * a.psis)) < 1e-12 * abs(alpha) * 2.0
+    assert np.max(np.abs(b.psi - alpha * a.psi)) < 1e-12 * abs(alpha) * 2.0
 
 
 def test_error_model_over_long_horizon():
@@ -103,17 +101,17 @@ def test_error_model_over_long_horizon():
     traj = integrate_uniform(INITIAL, 0.0, 1000.0 - (1000.0 % dt) + dt, dt,
                              sample_stride=50)
     exact = free_solution(SPEC, traj.times)
-    err = np.abs(traj.psis - exact)
+    err = np.abs(traj.psi - exact)
     envelope = ERROR_RATE * np.maximum(traj.times, 1.0) * dt**4
     assert np.all(err <= envelope)
-    assert np.max(np.abs(traj.psis)) <= 2.0 + 1e-6
+    assert np.max(np.abs(traj.psi)) <= 2.0 + 1e-6
 
 
 def test_unstable_potential_growth_rate():
     # v = 1 has a growing branch with rate Re gamma = 1
     traj = integrate_uniform(INITIAL, 1.0, 20.0, 1e-3, sample_stride=100)
-    half = len(traj) // 2  # the decaying branch has left the trailing half
-    rate = fit_mode_growth(traj.times[half:], traj.psis[half:])
+    half = len(traj.times) // 2  # the decaying branch has left the trailing half
+    rate = fit_mode_growth(traj.times[half:], traj.psi[half:])
     assert rate == pytest.approx(1.0, rel=0.02)
 
 
@@ -138,7 +136,7 @@ def test_convergence_order_on_free_problem():
         traj = integrate_uniform(INITIAL, 0.0, 10.0, dt,
                                  sample_stride=max(1, int(round(10.0 / dt)) // 100))
         exact = free_solution(SPEC, traj.times)
-        pairs.append((dt, float(np.max(np.abs(traj.psis - exact)))))
+        pairs.append((dt, float(np.max(np.abs(traj.psi - exact)))))
     assert convergence_order(pairs) == pytest.approx(4.0, abs=0.2)
 
 
@@ -152,13 +150,3 @@ def test_convergence_order_input_checks():
     with pytest.raises(ValueError):
         convergence_order([(4e-3, 1e-8), (2e-3, -1e-9), (1e-3, 1e-10)])
 
-
-def test_trajectory_validation():
-    t = np.array([0.0, 1.0])
-    z = np.zeros(2, dtype=complex)
-    with pytest.raises(ValueError):
-        Trajectory(times=np.array([0.0, 0.0]), psis=z, dpsis_dt=z, sample_stride=1)
-    with pytest.raises(ValueError):
-        Trajectory(times=t, psis=z[:1], dpsis_dt=z, sample_stride=1)
-    with pytest.raises(ValueError):
-        Trajectory(times=t, psis=z, dpsis_dt=z, sample_stride=0)

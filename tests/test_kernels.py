@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nsblab import kernels
-from nsblab.analytic import CanonicalCoefficients
-from nsblab.integrator import TemporalState, integrate_uniform
+from nsblab.analytic import CanonicalCoefficients, dispersion_branches
+from nsblab.integrator import TemporalState, convergence_order, integrate_uniform
 from nsblab.pde import ComplexField, FieldState, Grid, PdeProblem, evolve, stability_dt
 
 
@@ -396,6 +396,112 @@ def test_first_order_evolution_makes_its_derivative_on_first_read():
     assert_close(result.psi, want[0])
     assert_close(result.dpsi_dt, want[1])
     assert result.dpsi_dt is result.dpsi_dt
+
+
+# --------------------------------------------------------------------------
+# Propagator against the exact semi-discrete solution.  Mode k evolves as
+# y' = A_k y, so the exact run is exp(t A_k) mode by mode: e^(rate t) in the
+# first-order limit, and for the companion matrix A_k = [[0, 1], [b_k, c]]
+# exp(t A_k) = alpha I + beta A_k (Cayley-Hamilton), with the eigenvalues
+# -i omega of ``dispersion_branches``.
+# --------------------------------------------------------------------------
+
+
+def exact_run(coeffs, lam, psi0, phi0, times):
+    """(psi, dpsi_dt) rows at ``times`` under exp(t A_k), for Laplacian
+    eigenvalues ``lam``; ``phi0`` is ignored in the first-order limit."""
+    t = np.asarray(times, dtype=float)[:, None]
+    psi_hat = np.fft.fft(psi0)
+    if coeffs.a_tt == 0.0:
+        rate = kernels.schrodinger_rate(lam, coeffs.a_xx, coeffs.v)
+        psi_hat = np.exp(rate * t) * psi_hat
+        return np.fft.ifft(psi_hat, axis=-1), np.fft.ifft(rate * psi_hat, axis=-1)
+    phi_hat = np.fft.fft(phi0)
+    b = (2.0 * coeffs.v + coeffs.a_xx * lam) / coeffs.a_tt
+    c = -2j / coeffs.a_tt
+    plus, minus = dispersion_branches(coeffs, lam)
+    l1, l2 = -1j * np.asarray(plus), -1j * np.asarray(minus)
+    e1, e2 = np.exp(l1 * t), np.exp(l2 * t)
+    # At a double root exp(tA) = (I + t (A - l I)) e^(l t).
+    double = l1 == l2
+    gap = np.where(double, 1.0, l1 - l2)
+    beta = np.where(double, t * e1, (e1 - e2) / gap)
+    alpha = np.where(double, (1.0 - t * l1) * e1, (l1 * e2 - l2 * e1) / gap)
+    return (np.fft.ifft(alpha * psi_hat + beta * phi_hat, axis=-1),
+            np.fft.ifft(beta * b * psi_hat + (alpha + beta * c) * phi_hat, axis=-1))
+
+
+def charge(coeffs, psi, phi, dx):
+    """Q = sum(|psi|^2 + a_tt Im(conj(psi) psi_t)) dx of each row, which the
+    equation conserves for real v."""
+    density = np.abs(psi) ** 2 + coeffs.a_tt * np.imag(np.conj(psi) * phi)
+    return density.sum(axis=-1) * dx
+
+
+ORACLE_DTS = (0.2, 0.1, 0.05)
+ORACLE_HORIZON = 400.0
+
+
+def check_against_exact(run, coeffs, lam, psi0, phi0, dx):
+    """``run(dt, n_steps, stride)`` -> (psi rows, dpsi_dt rows, steps) is
+    fourth order against the exact run, and its charge drift falls at least
+    16x per halving of dt; the exact run keeps its charge to round-off."""
+    errors, drifts = [], []
+    for dt in ORACLE_DTS:
+        n_steps = round(ORACLE_HORIZON / dt)
+        psi, phi, steps = run(dt, n_steps, n_steps // 8)
+        want_psi, want_phi = exact_run(coeffs, lam, psi0, phi0, steps * dt)
+        exact_q = charge(coeffs, want_psi, want_phi, dx)
+        assert np.abs(exact_q - exact_q[0]).max() < 1e-9 * abs(exact_q[0])
+        errors.append((dt, float(np.abs(psi - want_psi).max())))
+        q = charge(coeffs, psi, phi, dx)
+        drifts.append(float(np.abs(q - q[0]).max()))
+    assert convergence_order(errors) >= 3.8
+    assert all(coarse >= 16.0 * fine for coarse, fine in zip(drifts, drifts[1:]))
+
+
+@pytest.mark.parametrize("laplacian", ["stencil", "spectral"])
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_field_kernel_converges_to_the_exact_propagator(order, laplacian):
+    # r = v = 0.1 keeps every mode of either Laplacian below the critical
+    # wavenumber; phi0 excites the fast branch as well as the slow one.
+    n, dx = 128, 1.25
+    x = np.arange(n) * dx
+    psi0 = np.exp(-((x - 80.0) / 6.0) ** 2 + 0.8j * x)
+    phi0 = 0.5j * psi0
+    coeffs = CanonicalCoefficients(a_xx=0.1, a_tt=0.0 if order == "first" else 1.0,
+                                   v=0.1)
+    lam = kernels.laplacian_eigenvalues(n, dx, laplacian)
+
+    def run(dt, n_steps, stride):
+        if order == "first":
+            psi, steps, blow = kernels.run_field_first_order(
+                psi0, coeffs.a_xx, coeffs.v, dx, dt, n_steps, stride, laplacian)
+            rate = kernels.schrodinger_rate(lam, coeffs.a_xx, coeffs.v)
+            phi = kernels.first_order_derivative(psi, rate)
+        else:
+            psi, phi, steps, blow = kernels.run_field_second_order(
+                psi0, phi0, coeffs.a_xx, coeffs.a_tt, coeffs.v, dx, dt, n_steps,
+                stride, laplacian)
+        assert blow == -1
+        return psi, phi, steps
+
+    check_against_exact(run, coeffs, lam, psi0, phi0, dx)
+
+
+@pytest.mark.parametrize("v", [0.1, 0.5])
+def test_uniform_kernel_converges_to_the_exact_propagator(v):
+    # v = 1/2 is the uniform system's double root
+    coeffs = CanonicalCoefficients(a_xx=0.0, a_tt=1.0, v=v)
+    psi0, phi0 = np.array([0.3 + 0.0j]), np.array([2.0j])
+
+    def run(dt, n_steps, stride):
+        psi, phi, steps, blow = kernels.run_uniform(psi0[0], phi0[0], v, dt,
+                                                    n_steps, stride)
+        assert blow == -1
+        return psi[:, None], phi[:, None], steps
+
+    check_against_exact(run, coeffs, np.zeros(1), psi0, phi0, 1.0)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +408,24 @@ def test_regime_compare_allocates_within_both_plans(tmp_path, overrides):
     assert 0.5 * need < peak <= need
 
 
+def test_regime_compare_frees_the_first_runs_derivative_rows(tmp_path, monkeypatch):
+    # the first run's psi is copied out, so the kernel's array, which holds
+    # its dpsi_dt rows too, is freed before the second run steps
+    kernel_arrays, alive_at_call = [], []
+    real_evolve = scenarios.evolve
+
+    def watched(plan, initial):
+        alive_at_call.append([ref() is not None for ref in kernel_arrays])
+        result = real_evolve(plan, initial)
+        kernel_arrays.append(weakref.ref(result.psi.base))
+        return result
+
+    monkeypatch.setattr(scenarios, "evolve", watched)
+    run_scenario("regime_compare", {"r": [0.1]}, out_dir=tmp_path)
+    assert len(alive_at_call) == 4
+    assert not any(any(alive) for alive in alive_at_call)
+
+
 def test_pde_packet_full_form_requires_unstable_opt_in(tmp_path):
     # the default grid resolves wavenumbers above critical, so the full
     # form refuses to run without the override
@@ -477,6 +496,29 @@ def test_manifest_contents(tmp_path):
     assert csvs == listed
     # nothing else is left behind, no temporary manifest either
     assert {p.name for p in Path(tmp_path).iterdir()} == listed | {"manifest.json"}
+
+
+def test_packet_profile_keeps_no_snapshot_alive(tmp_path, monkeypatch):
+    # the profile is written from a copy of the last row, so the snapshot
+    # stack can be freed while the CSVs are written
+    results, written = [], {}
+    real_evolve, real_write_csv = scenarios.evolve, scenarios.write_csv
+
+    def keep_result(plan, initial):
+        results.append(real_evolve(plan, initial))
+        return results[-1]
+
+    def keep_columns(path, header, columns):
+        written[Path(path).name] = columns
+        return real_write_csv(path, header, columns)
+
+    monkeypatch.setattr(scenarios, "evolve", keep_result)
+    monkeypatch.setattr(scenarios, "write_csv", keep_columns)
+    run_scenario("pde_packet", {"horizon_tau": 1.0}, out_dir=tmp_path)
+    (result,) = results
+    profile = written["pde_packet_profile.csv"]
+    assert np.array_equal(profile[1], result.psi[-1].real)
+    assert not any(np.shares_memory(column, result.psi) for column in profile)
 
 
 def test_failed_rerun_leaves_no_manifest(tmp_path, monkeypatch):
