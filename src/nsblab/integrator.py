@@ -62,15 +62,19 @@ class EvolutionResult:
     """Stored samples of one run: ``times`` from 0, and ``psi`` and
     ``dpsi_dt``, one row (a value, for the uniform system) per sample.
 
-    In the first-order limit ``dpsi_dt`` is ``rate`` times psi, mode by
-    mode, made on first read; ValueError when psi and it together exceed
-    ``kernels.MAX_SAMPLE_BYTES``, counted as a second-order run's rows.
+    A field run's ``dpsi_dt`` is made on first read.  A second-order run
+    hands over its rows' spectra, which one inverse FFT turns into fields in
+    place, row 0 set to the initial derivative ``_phi0``.  In the
+    first-order limit it is ``rate`` times psi, mode by mode; ValueError
+    when psi and it together exceed ``kernels.MAX_SAMPLE_BYTES``, counted
+    as a second-order run's rows.
     """
 
     times: np.ndarray
     psi: np.ndarray
     _dpsi_dt: Optional[np.ndarray] = field(default=None, repr=False)
     _rate: Optional[np.ndarray] = field(default=None, repr=False)
+    _phi0: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def dpsi_dt(self) -> np.ndarray:
@@ -79,6 +83,9 @@ class EvolutionResult:
             kernels.check_bytes(kernels.run_bytes(points, rows, 2),
                                 f"{rows} rows of {points} points and their derivative")
             self._dpsi_dt = kernels.first_order_derivative(self.psi, self._rate)
+        elif self._phi0 is not None:
+            np.fft.ifft(self._dpsi_dt, axis=-1, out=self._dpsi_dt)
+            self._dpsi_dt[0], self._phi0 = self._phi0, None
         return self._dpsi_dt
 
 

@@ -23,9 +23,13 @@ still finite into infinities and report the blow-up early.
 Samples are stored every ``stride`` steps, plus the initial and final
 states.  The first stored sample whose magnitude is non-finite or at or
 above ``BLOWUP_MAGNITUDE`` ends the returned arrays; the caller turns that
-into a blow-up error.  In the first-order limit only psi is stored: its
+into a blow-up error.  Only psi is transformed back to grid values.  The
+second-order system's derivative rows are returned as spectra, for the
+reader to transform.  In the first-order limit only psi is stored: its
 derivative, rate * psi mode by mode, is made on demand by
-:func:`first_order_derivative`, and counts towards the blow-up all the same.
+:func:`first_order_derivative`.  Either derivative counts towards the
+blow-up all the same: a row is formed and checked only where a bound on
+its magnitude cannot clear it.
 """
 
 from __future__ import annotations
@@ -79,8 +83,9 @@ HAVE_NUMBA = False
 
 def sample_rows(n_steps: int, stride: int) -> int:
     """The number of step indices :func:`sample_steps` stores."""
-    if n_steps < 0 or stride < 1:
-        raise ValueError("need n_steps >= 0 and stride >= 1")
+    if n_steps < 0 or not 1 <= stride <= MAX_STEPS:
+        raise ValueError(f"need n_steps >= 0 and 1 <= stride <= {MAX_STEPS}, got "
+                         f"{n_steps!r} and {stride!r}")
     return -(-n_steps // stride) + 1
 
 
@@ -217,31 +222,19 @@ def first_order_derivative(psis: np.ndarray, rate: np.ndarray) -> np.ndarray:
     return np.fft.ifft(out, axis=-1, out=out)
 
 
-def _first_bad_row(out: np.ndarray, rate) -> int:
-    """Index of the first bad row of ``out`` (components x samples x points),
-    else -1.  With ``rate`` (the first-order limit, one component) a row is
-    also bad where its derivative rate * psi is."""
-    if rate is None:
-        # One component at a time, so the temporary is a quarter of ``out``.
-        ok = np.logical_and.reduce([np.abs(c).max(axis=1) < BLOWUP_MAGNITUDE
-                                    for c in out])
-    else:
-        peak = np.abs(out[0]).max(axis=1)
-        ok = peak < BLOWUP_MAGNITUDE
-        # |rate * psi| <= max|rate| sqrt(n) max|psi| (Cauchy-Schwarz and
-        # Parseval).  Twice that, for rounding, below the blow-up magnitude
-        # clears a row; the derivative is formed only for the rows it cannot
-        # clear, one at a time, up to the first row whose psi is bad.
-        bound = 2.0 * float(np.abs(rate).max()) * math.sqrt(rate.shape[0])
-        bad_psi = np.flatnonzero(~ok)
-        end = int(bad_psi[0]) if bad_psi.size else len(ok)
-        for i in np.flatnonzero(~(bound * peak[:end] < BLOWUP_MAGNITUDE)):
-            dpsi = first_order_derivative(out[0, i], rate)
-            if not np.abs(dpsi).max() < BLOWUP_MAGNITUDE:
-                ok[i] = False
-                break
-    bad = np.flatnonzero(~ok)
-    return int(bad[0]) if bad.size else -1
+def _first_bad_row(ok: np.ndarray, cleared: np.ndarray, derivative) -> int:
+    """Index of the first stored row whose psi or derivative is bad, else -1.
+
+    ``ok`` marks the rows whose psi is good, and ``cleared`` those whose
+    derivative a bound on its magnitude keeps below the blow-up magnitude.
+    The others are formed by ``derivative(i)`` and checked, one at a time,
+    up to the first row whose psi is bad.
+    """
+    end = len(ok) if ok.all() else int(np.argmin(ok))
+    for i in np.flatnonzero(~cleared[:end]):
+        if not np.abs(derivative(i)).max() < BLOWUP_MAGNITUDE:
+            return int(i)
+    return end if end < len(ok) else -1
 
 
 def run_uniform(psi0, phi0, v, dt, n_steps, stride=1):
@@ -260,11 +253,12 @@ def run_uniform(psi0, phi0, v, dt, n_steps, stride=1):
 
 
 def _run_field(a, initial, dt, n_steps, stride):
-    """Step the spectra of ``initial`` under ``a`` and return the fields.
+    """Step the spectra of ``initial`` under ``a`` and return psi's fields.
 
     ``a`` stacks one matrix per Fourier mode, shape (n, d, d), and
-    ``initial`` holds the d starting components.  Returns the d components
-    (samples x points each), the stored step indices and the blow-up slot,
+    ``initial`` holds the d starting components.  Returns psi (samples x
+    points), the derivative's spectra when d = 2 (a one-point grid's
+    spectrum is its value), the stored step indices and the blow-up slot,
     every array cut after that slot.
     """
     points, d = a.shape[0], a.shape[-1]
@@ -275,9 +269,25 @@ def _run_field(a, initial, dt, n_steps, stride):
     np.fft.fft(initial, axis=-1, out=out[:, 0])
     with np.errstate(all="ignore"):  # unstable runs overflow; rows are checked
         _propagate(a, out, dt, n_steps, stride)
-        np.fft.ifft(out, axis=-1, out=out)
-        out[:, 0] = initial
-        blow_slot = _first_bad_row(out, a[:, 0, 0] if d == 1 else None)
+        psis = np.fft.ifft(out[0], axis=-1, out=out[0])
+        psis[0] = initial[0]
+        # A row's derivative is cleared where twice a bound on its magnitude,
+        # for rounding, lies below the blow-up magnitude; a NaN clears nothing.
+        if d == 1:
+            # |rate psi| <= max|rate| sqrt(n) max|psi| (Cauchy-Schwarz and
+            # Parseval)
+            peak = np.abs(psis).max(axis=1)
+            rate = a[:, 0, 0]
+            bound = 2.0 * float(np.abs(rate).max()) * math.sqrt(points)
+            blow_slot = _first_bad_row(
+                peak < BLOWUP_MAGNITUDE, bound * peak < BLOWUP_MAGNITUDE,
+                lambda i: first_order_derivative(psis[i], rate))
+        else:
+            # |phi| <= (1/n) sum |Phi_k| <= max |Phi_k|
+            blow_slot = _first_bad_row(
+                np.abs(psis).max(axis=1) < BLOWUP_MAGNITUDE,
+                2.0 * np.abs(out[1]).max(axis=1) < BLOWUP_MAGNITUDE,
+                lambda i: np.fft.ifft(out[1, i]) if i else initial[1])
     rows = len(steps) if blow_slot < 0 else blow_slot + 1
     return (*out[:, :rows], steps[:rows], blow_slot)
 
@@ -287,7 +297,8 @@ def run_field_second_order(psi0, phi0, a_xx, a_tt, v, dx, dt, n_steps,
     """Step psi' = phi, phi' = (2(v psi - i phi) - a_xx lap psi) / a_tt.
 
     Returns (psis, phis, steps, blow_slot) as :func:`run_uniform` does,
-    with one row of grid values per stored sample.
+    with one row per stored sample: psi's grid values, and phi's spectrum
+    (``np.fft.ifft`` makes its grid values; row 0's are ``phi0``).
     """
     if a_tt <= 0.0:
         raise ValueError("second-order stepping needs a_tt > 0")

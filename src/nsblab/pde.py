@@ -271,7 +271,7 @@ def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
     n_steps, stride = problem.n_steps, problem.snapshot_stride
     coeffs = problem.coeffs
     psi0 = initial.psi.values
-    rate = dpsis = None
+    rate = dpsis = phi0 = None
     if coeffs.a_tt == 0.0:
         psis, steps, blow = kernels.run_field_first_order(
             psi0, coeffs.a_xx, coeffs.v, grid.dx, problem.dt, n_steps, stride,
@@ -279,8 +279,9 @@ def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
         rate = kernels.schrodinger_rate(
             grid.laplacian_eigenvalues(problem.laplacian), coeffs.a_xx, coeffs.v)
     else:
+        phi0 = initial.dpsi_dt.values
         psis, dpsis, steps, blow = kernels.run_field_second_order(
-            psi0, initial.dpsi_dt.values, coeffs.a_xx, coeffs.a_tt, coeffs.v,
+            psi0, phi0, coeffs.a_xx, coeffs.a_tt, coeffs.v,
             grid.dx, problem.dt, n_steps, stride, problem.laplacian)
     if blow >= 0:
         t_blow = float(steps[blow]) * problem.dt
@@ -291,7 +292,7 @@ def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
             k_dom = grid.wavenumbers()[int(np.argmax(spectrum))]
             detail = f"dominant content near k_hat={k_dom:.4g}"
         raise BlowUpError(t_blow, detail)
-    return EvolutionResult(steps.astype(float) * problem.dt, psis, dpsis, rate)
+    return EvolutionResult(steps.astype(float) * problem.dt, psis, dpsis, rate, phi0)
 
 
 def spectral_filter(state: FieldState, k_cut: float) -> FieldState:
@@ -375,9 +376,11 @@ def plane_wave_state(grid: Grid, mode_index: int, coeffs: CanonicalCoefficients,
 
 
 def mode_amplitudes(psi_snapshots: np.ndarray, mode_index: int) -> np.ndarray:
-    """Complex amplitude of one Fourier mode across snapshots."""
+    """Complex amplitude of one Fourier mode across snapshots: its one DFT
+    coefficient over n, a matrix-vector product with its twiddles."""
     n = psi_snapshots.shape[1]
-    return np.fft.fft(psi_snapshots, axis=1)[:, mode_index % n] / n
+    twiddles = np.exp(-2j * np.pi * ((np.arange(n) * mode_index) % n) / n)
+    return psi_snapshots @ twiddles / n
 
 
 def fit_mode_frequency(times: np.ndarray, amplitudes: np.ndarray) -> float:

@@ -430,7 +430,7 @@ def _run_fig1(params: dict) -> tuple[list[OutputFile], dict]:
         n_samples = int(math.floor(horizon / interval + 1e-12))
         runs.append({"horizon_tau": horizon, "dt": dt, "sample_stride": stride,
                      "n_steps": n_samples * stride})
-    rows = [sample_rows(run["n_steps"], run["sample_stride"]) for run in runs]
+    rows = [_refused(sample_rows, run["n_steps"], run["sample_stride"]) for run in runs]
     _refused(check_bytes, _fig1_bytes(rows),
              f"{sum(rows)} stored rows over {len(rows)} horizon(s)")
     outputs = []
@@ -500,9 +500,11 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
                     "wavenumber; set allow_unstable to probe growth")
             state, _, _ = plane_wave_state(grid, j, coeffs, "plus", lap_mode)
         result = _refused(evolve, plan, state)
-        amps = mode_amplitudes(result.psi, j)
+        # Only these are kept: the run is freed before the next probe's.
+        times, amps = result.times, mode_amplitudes(result.psi, j)
+        result = None
         if mode_stable:
-            measured = fit_mode_frequency(result.times, amps)
+            measured = fit_mode_frequency(times, amps)
             reference = omega_m_exact.real
             if reference != 0.0:
                 rel = abs(measured - reference) / abs(reference)
@@ -512,7 +514,7 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
                          float("nan"), float("nan")))
         else:
             rows.append((k_snap, float("nan"), float("nan"), float("nan"), resolved,
-                         omega_p_exact.imag, fit_mode_growth(result.times, amps)))
+                         omega_p_exact.imag, fit_mode_growth(times, amps)))
     outputs = [OutputFile(
         name="dispersion_scan_modes.csv",
         header=["k_hat", "omega_minus_analytic", "omega_minus_measured",

@@ -151,6 +151,17 @@ def run_first_order(psi0, a_xx, v, dx, dt, n_steps, stride, laplacian):
     return psis, dpsis, steps, blow
 
 
+def run_second_order(psi0, phi0, *args):
+    """The second-order kernel's run as (psis, dpsis_dt, steps, blow_slot),
+    the derivative's spectra made fields as ``EvolutionResult`` makes them:
+    one inverse FFT, with row 0 the initial derivative."""
+    psis, spectra, steps, blow = kernels.run_field_second_order(psi0, phi0, *args)
+    with np.errstate(all="ignore"):  # a blown-up row's spectrum overflows
+        phis = np.fft.ifft(spectra, axis=-1)
+    phis[0] = phi0
+    return psis, phis, steps, blow
+
+
 def reference_blow_slot(psis, phis):
     """Index of the first row whose psi or dpsi_dt is bad, else -1."""
     for i, (psi, phi) in enumerate(zip(psis, phis)):
@@ -296,8 +307,8 @@ def test_propagator_matches_reference(order, laplacian, n_steps, stride):
     if order == "second":
         coeffs = CanonicalCoefficients(a_xx=A_XX, a_tt=1.0, v=V)
         dt = stability_dt(coeffs, Grid(N, N * DX), 0.9, laplacian)
-        got = kernels.run_field_second_order(psi, phi, A_XX, 1.0, V, DX, dt,
-                                             n_steps, stride, laplacian)
+        got = run_second_order(psi, phi, A_XX, 1.0, V, DX, dt, n_steps, stride,
+                               laplacian)
         want = reference_second_order(psi, phi, A_XX, 1.0, V, DX, dt,
                                       n_steps, stride, laplacian)
     else:
@@ -334,8 +345,8 @@ def test_propagator_matches_reference_property(order, laplacian, n, dx_scale, r,
         got = kernels.run_uniform(psi[0], phi[0], v, dt, n_steps, stride)
         want = reference_uniform(psi[0], phi[0], v, dt, n_steps, stride)
     elif order == "second":
-        got = kernels.run_field_second_order(psi, phi, r, 1.0, v, dx, dt,
-                                             n_steps, stride, laplacian)
+        got = run_second_order(psi, phi, r, 1.0, v, dx, dt, n_steps, stride,
+                               laplacian)
         want = reference_second_order(psi, phi, r, 1.0, v, dx, dt, n_steps,
                                       stride, laplacian)
     else:
@@ -396,6 +407,34 @@ def test_first_order_evolution_makes_its_derivative_on_first_read():
     assert_close(result.psi, want[0])
     assert_close(result.dpsi_dt, want[1])
     assert result.dpsi_dt is result.dpsi_dt
+
+
+def test_clean_second_order_evolution_transforms_psi_alone(monkeypatch):
+    # every derivative row is cleared by the bound on its spectrum, so the
+    # run transforms psi back alone, and the first read of dpsi_dt its rows
+    calls = []
+    ifft = np.fft.ifft
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counted)
+    psi, phi = random_state(N, 6)
+    coeffs = CanonicalCoefficients(a_xx=A_XX, a_tt=1.0, v=V)
+    plan = PdeProblem(coeffs, Grid(N, N * DX), t_end=60.0, snapshot_stride=9,
+                      laplacian="stencil")
+    initial = FieldState(ComplexField(psi, plan.grid), ComplexField(phi, plan.grid))
+    result = evolve(plan, initial)
+    assert len(calls) == 1
+    dpsi_dt = result.dpsi_dt
+    assert len(calls) == 2
+    assert result.dpsi_dt is dpsi_dt
+    assert np.array_equal(dpsi_dt[0], phi)
+    want = reference_second_order(psi, phi, A_XX, 1.0, V, DX, plan.dt,
+                                  plan.n_steps, plan.snapshot_stride, "stencil")
+    assert_close(result.psi, want[0])
+    assert_close(dpsi_dt, want[1])
 
 
 # --------------------------------------------------------------------------
@@ -480,7 +519,7 @@ def test_field_kernel_converges_to_the_exact_propagator(order, laplacian):
             rate = kernels.schrodinger_rate(lam, coeffs.a_xx, coeffs.v)
             phi = kernels.first_order_derivative(psi, rate)
         else:
-            psi, phi, steps, blow = kernels.run_field_second_order(
+            psi, phi, steps, blow = run_second_order(
                 psi0, phi0, coeffs.a_xx, coeffs.a_tt, coeffs.v, dx, dt, n_steps,
                 stride, laplacian)
         assert blow == -1
@@ -525,8 +564,8 @@ def test_uniform_kernel_blow_up_slot():
 def run_both(order, laplacian, psi, phi, dx, dt, n_steps, stride):
     """(kernel output, reference output) for one run of a_xx = 1, v = 0."""
     if order == "second":
-        got = kernels.run_field_second_order(psi, phi, 1.0, 1.0, 0.0, dx, dt,
-                                             n_steps, stride, laplacian)
+        got = run_second_order(psi, phi, 1.0, 1.0, 0.0, dx, dt, n_steps, stride,
+                               laplacian)
         with np.errstate(all="ignore"):  # the reference overflows as it blows up
             want = reference_second_order(psi, phi, 1.0, 1.0, 0.0, dx, dt,
                                           n_steps, stride, laplacian)
@@ -583,7 +622,7 @@ def test_tiny_unstable_run_blows_up_where_the_reference_does(order, laplacian,
 def test_field_kernel_flags_one_bad_point_in_either_component():
     psi, phi = random_state(16, 3)
     phi[5] = 2.0 * kernels.BLOWUP_MAGNITUDE
-    psis, phis, steps, blow = kernels.run_field_second_order(
+    psis, phis, steps, blow = run_second_order(
         psi, phi, 0.1, 1.0, 0.0, 0.5, 0.01, 5, 2, "stencil")
     assert blow == 0
     assert list(steps) == [0]
