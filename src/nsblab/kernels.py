@@ -1,17 +1,17 @@
 """Time stepping by one Fourier-space RK4 propagator.
 
 Every system the package steps is linear, has constant coefficients and is
-periodic, so it is diagonal in Fourier space: mode k evolves as y' = A_k y
-with a d x d matrix A_k (d = 2 for the second-order system, 1 in the
-first-order limit; the uniform system is the one-mode grid).  One classical
-RK4 step of that mode is exactly the matrix polynomial
-
-    R(h A) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24,
-
-so a stride of s steps is R^s, formed by repeated squaring.  This is the
-same discrete scheme as stepping in physical space, with RK4's order and
-stability region, up to round-off (see Kassam & Trefethen, SIAM J. Sci.
-Comput. 26 (2005) 1214).
+periodic, so it is diagonal in Fourier space: mode k evolves as y' = A_k y,
+with A_k = [[0, 1], [b_k, c]] in the second-order system (the uniform
+system is its one-mode grid) and the rate b_k in the first-order limit.
+One classical RK4 step of that mode is exactly the polynomial
+R(h A) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so a stride of s steps
+is R^s, formed by repeated squaring.  This is the same discrete scheme as
+stepping in physical space, with RK4's order and stability region, up to
+round-off (see Kassam & Trefethen, SIAM J. Sci. Comput. 26 (2005) 1214).
+As A_k^2 = c A_k + b_k I (Cayley-Hamilton), each such update is
+p I + q A_k, held as two rows (p, q) of one value per mode; in the
+first-order limit it is one row (Moler & Van Loan, SIAM Rev. 45 (2003) 3).
 
 Stored samples are advanced a block at a time: rows [f, f + m) of the
 spectra are rows [f - m, f) advanced by m strides, y + (R^(m s) - I) y.
@@ -103,10 +103,10 @@ def sample_steps(n_steps: int, stride: int) -> np.ndarray:
 # float64 magnitude for the blow-up scan and the diagnostics.  Per stored
 # row, 24: the step index, the time and the scan's row maximum, most of a
 # one-point run's 57.  Per grid point, the work arrays of the first- or
-# second-order system: eigenvalues, a d x d matrix and the R^s temporaries.
+# second-order system: the rates, the update rows and their temporaries.
 _POINT_ROW_BYTES = {1: 24, 2: 40}
 _ROW_BYTES = 24
-_WORK_BYTES = {1: 128, 2: 400}
+_WORK_BYTES = {1: 120, 2: 280}
 
 
 def run_bytes(points: int, rows: int, order: int) -> int:
@@ -140,73 +140,78 @@ def laplacian_eigenvalues(n: int, dx: float, mode: str) -> np.ndarray:
     raise ValueError(f"unknown laplacian mode {mode!r}")
 
 
-def _power(e: np.ndarray, s: int) -> np.ndarray:
-    """(I + e)^s - I by repeated squaring, for a stack of matrices e."""
-    out = np.zeros_like(e)
+def _rows(e: np.ndarray, b, c) -> tuple:
+    """The rows of the update ``e``'s matrix, as updates: ``e`` alone in the
+    first-order limit; else (p, q), the first row of p I + q A, and its
+    product by A, (b q, p + c q) as A^2 = c A + b I."""
+    return (e,) if len(e) == 1 else (e, np.array((b * e[1], e[0] + c * e[1])))
+
+
+def _times(x: np.ndarray, rows: tuple) -> np.ndarray:
+    """The update x y, for an update x and the :func:`_rows` of y."""
+    out = x[0] * rows[0]
+    return np.add(out, x[1] * rows[1], out=out) if len(x) == 2 else out
+
+
+def _power(e: np.ndarray, s: int, b, c) -> np.ndarray:
+    """(I + e)^s - I by repeated squaring, for an update e and s >= 1."""
+    out = None
     while s:
         if s & 1:
-            out = out + e + out @ e
+            out = e if out is None else out + e + _times(out, _rows(e, b, c))
         s >>= 1
         if s:
-            e = e + e + e @ e
+            e = e + e + _times(e, _rows(e, b, c))
     return out
 
 
-def _step_update(a: np.ndarray, dt: float) -> np.ndarray:
-    """R(dt a) - I for a stack of matrices ``a``, shape (n, d, d).
-
-    Powers are kept as their difference from I: a step close to the
-    identity then keeps its digits, and an advanced sample is y + (R^s - I) y.
-    """
-    z = dt * a
+def _step_update(b: np.ndarray, c, dt: float, d: int) -> np.ndarray:
+    """R(dt A) - I as an update of d rows.  Powers are kept as their
+    difference from I: a step close to the identity then keeps its digits,
+    and an advanced sample is y + (R^s - I) y."""
+    z = np.zeros((d, len(b)), dtype=np.complex128)
+    z[-1] = dt * b if d == 1 else dt  # z = dt A
     e = z / 4.0
     for j in (3.0, 2.0, 1.0):
-        e = (z + z @ e) / j
+        e = (z + _times(z, _rows(e, b, c))) / j
     return e
 
 
-def _advance(spectra: np.ndarray, e: np.ndarray, src: int, dst: int,
-             count: int) -> None:
-    """Rows [dst, dst + count) = rows [src, src + count) advanced by I + e.
-
-    ``spectra`` holds components x rows x modes, ``e`` one d x d update per
-    mode, shape (n, d, d), and the source rows lie before ``dst``.
-    """
-    d = e.shape[-1]
-    x = spectra[:d, src:src + count]
-    for i in range(d):
+def _advance(spectra, rows: tuple, src: int, dst: int, count: int) -> None:
+    """Rows [dst, dst + count) = rows [src, src + count) advanced by I + e,
+    for the :func:`_rows` of e.  ``spectra`` holds components x rows x
+    modes, and the source rows lie before ``dst``."""
+    x = spectra[:len(rows), src:src + count]
+    for i, row in enumerate(rows):
         acc = spectra[i, dst:dst + count]
-        np.multiply(e[:, i, 0], x[0], out=acc)
-        for j in range(1, d):
-            acc += e[:, i, j] * x[j]
+        np.multiply(row[0], x[0], out=acc)
+        for j in range(1, len(rows)):
+            acc += row[j] * x[j]
         acc += x[i]
 
 
-def _propagate(a: np.ndarray, spectra: np.ndarray, dt: float, n_steps: int,
-               stride: int) -> None:
-    """Fill rows 1.. of ``spectra`` (components x samples x modes) from row 0.
-
-    Rows 0 .. n_steps // stride are whole strides apart and are advanced a
-    block at a time (see the module docstring); a final partial stride gets
-    its own update.
-    """
-    step = _step_update(a, dt)
+def _propagate(b, c, spectra, dt: float, n_steps: int, stride: int) -> None:
+    """Fill rows 1.. of ``spectra`` (components x samples x modes) from row 0:
+    rows whole strides apart a block at a time (see the module docstring),
+    then a final partial stride by its own update."""
+    step = _step_update(b, c, dt, len(spectra))
     rows = n_steps // stride + 1
-    e, m, cap = _power(step, stride), 1, BLOCK_ROWS
-    f = 1
+    e, f, m, cap = _rows(_power(step, stride, b, c), b, c), 1, 1, BLOCK_ROWS
     while f < rows:
         count = min(m, rows - f)
         _advance(spectra, e, f - m, f, count)
         f += count
         if m < cap:
-            doubled = e + e + e @ e
-            if np.isfinite(doubled).all():
+            doubled = _rows(e[0] + e[0] + _times(e[0], e), b, c)
+            # as c != 0, the last row is finite only where every row is
+            if np.isfinite(doubled[-1]).all():
                 e, m = doubled, 2 * m
             else:
                 cap = m
     e = doubled = None  # freed before the partial stride's update is formed
     if n_steps % stride:
-        _advance(spectra, _power(step, n_steps % stride), rows - 1, rows, 1)
+        _advance(spectra, _rows(_power(step, n_steps % stride, b, c), b, c),
+                 rows - 1, rows, 1)
 
 
 def schrodinger_rate(lam: np.ndarray, a_xx: float, v: float) -> np.ndarray:
@@ -245,30 +250,25 @@ def run_uniform(psi0, phi0, v, dt, n_steps, stride=1):
     are steps * dt); ``blow_slot`` is -1 for a clean run, else the index of
     the first stored sample that blew up (arrays are truncated to end there).
     """
-    a = np.array([[[0.0, 1.0], [2.0 * float(v), -2j]]])
     psis, phis, steps, blow_slot = _run_field(
-        a, ([complex(psi0)], [complex(phi0)]), float(dt), int(n_steps),
-        int(stride))
+        np.array([2.0 * float(v)]), -2j, ([complex(psi0)], [complex(phi0)]),
+        float(dt), int(n_steps), int(stride))
     return psis[:, 0], phis[:, 0], steps, blow_slot
 
 
-def _run_field(a, initial, dt, n_steps, stride):
-    """Step the spectra of ``initial`` under ``a`` and return psi's fields.
-
-    ``a`` stacks one matrix per Fourier mode, shape (n, d, d), and
-    ``initial`` holds the d starting components.  Returns psi (samples x
-    points), the derivative's spectra when d = 2 (a one-point grid's
-    spectrum is its value), the stored step indices and the blow-up slot,
-    every array cut after that slot.
-    """
-    points, d = a.shape[0], a.shape[-1]
+def _run_field(b, c, initial, dt, n_steps, stride):
+    """Step the spectra of the d components ``initial`` under A_k (see the
+    module docstring) and return psi (samples x points), the derivative's
+    spectra when d = 2 (a one-point grid's spectrum is its value), the
+    stored step indices and the blow-up slot, every array cut after it."""
+    points, d = len(b), len(initial)
     check_bytes(run_bytes(points, sample_rows(n_steps, stride), d),
                 f"{n_steps} steps stored every {stride} on {points} point(s)")
     steps = sample_steps(n_steps, stride)
     out = np.empty((d, len(steps), points), dtype=np.complex128)
     np.fft.fft(initial, axis=-1, out=out[:, 0])
     with np.errstate(all="ignore"):  # unstable runs overflow; rows are checked
-        _propagate(a, out, dt, n_steps, stride)
+        _propagate(b, c, out, dt, n_steps, stride)
         psis = np.fft.ifft(out[0], axis=-1, out=out[0])
         psis[0] = initial[0]
         # A row's derivative is cleared where twice a bound on its magnitude,
@@ -277,11 +277,10 @@ def _run_field(a, initial, dt, n_steps, stride):
             # |rate psi| <= max|rate| sqrt(n) max|psi| (Cauchy-Schwarz and
             # Parseval)
             peak = np.abs(psis).max(axis=1)
-            rate = a[:, 0, 0]
-            bound = 2.0 * float(np.abs(rate).max()) * math.sqrt(points)
+            bound = 2.0 * float(np.abs(b).max()) * math.sqrt(points)
             blow_slot = _first_bad_row(
                 peak < BLOWUP_MAGNITUDE, bound * peak < BLOWUP_MAGNITUDE,
-                lambda i: first_order_derivative(psis[i], rate))
+                lambda i: first_order_derivative(psis[i], b))
         else:
             # |phi| <= (1/n) sum |Phi_k| <= max |Phi_k|
             blow_slot = _first_bad_row(
@@ -303,12 +302,9 @@ def run_field_second_order(psi0, phi0, a_xx, a_tt, v, dx, dt, n_steps,
     if a_tt <= 0.0:
         raise ValueError("second-order stepping needs a_tt > 0")
     psi0 = np.asarray(psi0, dtype=np.complex128)
-    lam = laplacian_eigenvalues(psi0.shape[0], dx, laplacian)
-    a = np.zeros((lam.shape[0], 2, 2), dtype=np.complex128)
-    a[:, 0, 1] = 1.0
-    a[:, 1, 0] = (2.0 * v + a_xx * lam) / a_tt
-    a[:, 1, 1] = -2j / a_tt
-    return _run_field(a, (psi0, np.asarray(phi0, dtype=np.complex128)),
+    lam = laplacian_eigenvalues(len(psi0), dx, laplacian)
+    return _run_field((2.0 * v + a_xx * lam) / a_tt, -2j / a_tt,
+                      (psi0, np.asarray(phi0, dtype=np.complex128)),
                       float(dt), int(n_steps), int(stride))
 
 
@@ -322,6 +318,6 @@ def run_field_first_order(psi0, a_xx, v, dx, dt, n_steps, stride=1,
     blow-up slot is the first row whose psi or derivative is bad.
     """
     psi0 = np.asarray(psi0, dtype=np.complex128)
-    lam = laplacian_eigenvalues(psi0.shape[0], dx, laplacian)
-    a = schrodinger_rate(lam, a_xx, v).reshape(-1, 1, 1)
-    return _run_field(a, (psi0,), float(dt), int(n_steps), int(stride))
+    rate = schrodinger_rate(laplacian_eigenvalues(len(psi0), dx, laplacian),
+                            a_xx, v)
+    return _run_field(rate, None, (psi0,), float(dt), int(n_steps), int(stride))

@@ -178,12 +178,13 @@ def _positive_float(default: float, doc: str) -> KeySpec:
 SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
     "fig1": {
         "A": _AMPLITUDE,
-        # The upper bounds keep the step and row counts finite integers.
+        # The bounds keep the step and row counts finite integers, and the
+        # step rule's |A| * horizon from underflowing to zero.
         "horizon_tau": KeySpec(
             "list_float", [100.0, 1000.0],
             "time horizons in tau_p units, one CSV each: at least one, "
-            "each in (0, 1e6]",
-            lambda hs: len(hs) > 0 and all(0.0 < h <= 1e6 for h in hs)),
+            "each in [1e-100, 1e6]",
+            lambda hs: len(hs) > 0 and all(1e-100 <= h <= 1e6 for h in hs)),
         "samples_per_period": KeySpec("int", 32,
                                       "CSV samples per pi-long period, in [4, 4096]",
                                       lambda x: 4 <= x <= 4096),

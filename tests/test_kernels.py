@@ -200,17 +200,17 @@ def test_sample_steps_layout():
 
 
 def test_stored_samples_are_capped_before_allocation():
-    # a one-point run counts 64 B a stored row, 400 B of work arrays, and is
+    # a one-point run counts 64 B a stored row, 280 B of work arrays, and is
     # refused above the cap whatever the stride
-    assert kernels.run_bytes(1, 10, 2) == 10 * 64 + 400
-    rows = (kernels.MAX_SAMPLE_BYTES - 400) // 64
+    assert kernels.run_bytes(1, 10, 2) == 10 * 64 + 280
+    rows = (kernels.MAX_SAMPLE_BYTES - 280) // 64
     kernels.check_bytes(kernels.run_bytes(1, rows, 2), "x")
     with pytest.raises(ValueError, match="bytes"):
         kernels.check_bytes(kernels.run_bytes(1, rows + 1, 2), "x")
     for n_steps, stride, points in [(rows, 1, 1), (2 * rows, 2, 1), (rows // 2, 1, 4),
                                     (-1, 1, 1), (5, 0, 1)]:
         with pytest.raises(ValueError):
-            kernels._run_field(np.zeros((points, 2, 2)), (np.zeros(points),) * 2,
+            kernels._run_field(np.zeros(points), 0.0, (np.zeros(points),) * 2,
                                1e-3, n_steps, stride)
     with pytest.raises(ValueError, match="bytes"):  # 64 TB of arrays
         kernels.run_uniform(0.0j, 2.0j, 0.0, 1e-3, 10**12, 1)

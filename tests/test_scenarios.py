@@ -254,6 +254,21 @@ def test_fig1_peak_allocation_per_stored_row(tmp_path):
     assert 0.5 * need < peak <= need
 
 
+def test_fig1_allocates_within_its_count(tmp_path):
+    # one long horizon: the kernel run's rows and work arrays, the closed
+    # form and the writer's chunk stay within fig1's count and near it
+    params = {"horizon_tau": [1000.0], "samples_per_period": 512}
+    run_scenario("fig1", params, out_dir=tmp_path)  # warm-up
+    tracemalloc.start()
+    try:
+        manifest = run_scenario("fig1", params, out_dir=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = scenarios._fig1_bytes([out["rows"] for out in manifest["outputs"]])
+    assert 0.5 * need < peak <= need
+
+
 def test_fig1_rejects_zero_amplitude(tmp_path):
     with pytest.raises(ConfigError):
         run_scenario("fig1", {"A": 0.0}, out_dir=tmp_path)
@@ -754,6 +769,10 @@ INVALID_RUNS = [
     # a horizon shorter than one sample: no steps, and a sample stride of
     # about 9e24 steps, beyond int64
     ("fig1", ["A=-1e100", "horizon_tau=[0.001]"]),
+    # horizons below 1e-100: at these the step rule's |A| * horizon
+    # underflows to zero
+    ("fig1", ["horizon_tau=[5e-324]"]),
+    ("fig1", ["A=1e-100", "horizon_tau=[1e-230]"]),
     ("regime_compare", ["L=1e-100"]),
     ("dispersion_scan", ["n=8192", "L=1e-100", "r=1e100"]),
     # arrays above kernels.MAX_SAMPLE_BYTES, refused before any allocation
@@ -869,6 +888,7 @@ FUZZ_RUNS = st.sampled_from(sorted(FUZZ_KEYS)).flatmap(
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(run=FUZZ_RUNS)
 @example(run=("fig1", {"A": -1e100, "horizon_tau": [0.001]}))
+@example(run=("fig1", {"horizon_tau": [5e-324]}))
 def test_cli_exit_code_contract_holds_for_bounded_inputs(tmp_path_factory, run):
     scenario, sets = run
     out = tmp_path_factory.mktemp("fuzz")
