@@ -5,11 +5,12 @@ written as the first-order system
 
     psi' = phi,    phi' = 2 (v psi - i phi)
 
-with time in tau_p units.  It is stepped by classical fixed-step RK4
-(order 4, stability |lambda| dt <= 2.8 on the imaginary axis) as the one
-mode of a one-point grid in ``kernels``, the propagator that also drives
-the field solver in ``pde``.  This module holds the run record that it
-and ``pde.evolve`` return, and the blow-up errors the scenarios share.
+with time in tau_p units: y' = A y for y = (psi, phi) and the companion
+matrix A = [[0, 1], [2 v, -2 i]].  It is stepped by classical fixed-step
+RK4 (order 4, stability |lambda| dt <= 2.8 on the imaginary axis) as the
+one mode of a one-point grid in ``kernels``, the propagator that also
+drives the field solver in ``pde``.  This module holds the run record that
+it and ``pde.evolve`` return, and the blow-up errors the scenarios share.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ def integrate_uniform(initial: TemporalState, v: float, t_end: float,
     if not whole:
         raise ValueError("t_end must be an integer number of dt steps")
     psis, phis, steps, blow_slot = kernels.run_uniform(
-        initial.psi, initial.dpsi_dt, v, dt, n_steps, sample_stride)
+        initial.psi, initial.dpsi_dt, 2.0 * float(v), -2j, dt, n_steps,
+        sample_stride)
     if blow_slot >= 0:
         raise BlowUpError(float(steps[blow_slot]) * dt)
     return EvolutionResult(steps.astype(float) * dt, psis, phis)

@@ -1,10 +1,15 @@
 """Time stepping by one Fourier-space RK4 propagator.
 
 Every system the package steps is linear, has constant coefficients and is
-periodic, so it is diagonal in Fourier space: mode k evolves as y' = A_k y,
-with A_k = [[0, 1], [b_k, c]] in the second-order system (the uniform
-system is its one-mode grid) and the rate b_k in the first-order limit.
-One classical RK4 step of that mode is exactly the polynomial
+periodic, so it is diagonal in Fourier space.  The runners are pure
+numerics: each is handed, in fft order, what every mode is stepped by
+(``pde._mode_coefficients`` derives it from the equation).  Mode k of the
+second-order system evolves as y' = A_k y, y = (psi_hat, phi_hat), with
+A_k = [[0, 1], [b_k, c]] and c one non-zero value; in the first-order limit
+psi_hat' = rate_k psi_hat.  The uniform system is the second-order system
+on a one-point grid, whose spectrum is its value.
+
+One classical RK4 step of a mode is exactly the polynomial
 R(h A) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so a stride of s steps
 is R^s, formed by repeated squaring.  This is the same discrete scheme as
 stepping in physical space, with RK4's order and stability region, up to
@@ -125,21 +130,6 @@ def check_bytes(need: int, what: str) -> int:
     return need
 
 
-def laplacian_eigenvalues(n: int, dx: float, mode: str) -> np.ndarray:
-    """Eigenvalues k_eff^2 of minus the discrete Laplacian, in fft order.
-
-    The stencil operator maps the mode exp(i k xi) to
-    -(2 / dx^2) (1 - cos(k dx)) times itself; the spectral operator is
-    exact (-k^2).
-    """
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    if mode == "spectral":
-        return k * k
-    if mode == "stencil":
-        return (2.0 / dx**2) * (1.0 - np.cos(k * dx))
-    raise ValueError(f"unknown laplacian mode {mode!r}")
-
-
 def _rows(e: np.ndarray, b, c) -> tuple:
     """The rows of the update ``e``'s matrix, as updates: ``e`` alone in the
     first-order limit; else (p, q), the first row of p I + q A, and its
@@ -214,12 +204,6 @@ def _propagate(b, c, spectra, dt: float, n_steps: int, stride: int) -> None:
                  rows - 1, rows, 1)
 
 
-def schrodinger_rate(lam: np.ndarray, a_xx: float, v: float) -> np.ndarray:
-    """Rate of each mode in the first-order limit, psi_hat' = rate psi_hat:
-    i (-(a_xx / 2) lam - v), for Laplacian eigenvalues ``lam``."""
-    return 1j * (-0.5 * a_xx * lam - v)
-
-
 def first_order_derivative(psis: np.ndarray, rate: np.ndarray) -> np.ndarray:
     """dpsi_dt = rate psi, mode by mode, of a field or of each row of a stack."""
     out = np.fft.fft(psis, axis=-1)
@@ -242,17 +226,16 @@ def _first_bad_row(ok: np.ndarray, cleared: np.ndarray, derivative) -> int:
     return end if end < len(ok) else -1
 
 
-def run_uniform(psi0, phi0, v, dt, n_steps, stride=1):
-    """Integrate the uniform system, returning (psis, phis, steps, blow_slot).
+def run_uniform(psi0, phi0, b, c, dt, n_steps, stride=1):
+    """Step one mode y' = A y, A = [[0, 1], [b, c]], from y = (psi0, phi0).
 
-    The system is psi' = phi, phi' = 2 (v psi - i phi), stepped as the only
-    mode of a one-point grid.  ``steps`` are the stored step indices (times
-    are steps * dt); ``blow_slot`` is -1 for a clean run, else the index of
-    the first stored sample that blew up (arrays are truncated to end there).
+    Returns (psis, phis, steps, blow_slot): the stored values, the stored
+    step indices (times are steps * dt), and -1 for a clean run, else the
+    index of the first stored sample that blew up (the arrays end there).
     """
     psis, phis, steps, blow_slot = _run_field(
-        np.array([2.0 * float(v)]), -2j, ([complex(psi0)], [complex(phi0)]),
-        float(dt), int(n_steps), int(stride))
+        np.atleast_1d(b), c, ([complex(psi0)], [complex(phi0)]), float(dt),
+        int(n_steps), int(stride))
     return psis[:, 0], phis[:, 0], steps, blow_slot
 
 
@@ -291,33 +274,26 @@ def _run_field(b, c, initial, dt, n_steps, stride):
     return (*out[:, :rows], steps[:rows], blow_slot)
 
 
-def run_field_second_order(psi0, phi0, a_xx, a_tt, v, dx, dt, n_steps,
-                           stride=1, laplacian="stencil"):
-    """Step psi' = phi, phi' = (2(v psi - i phi) - a_xx lap psi) / a_tt.
+def run_field_second_order(psi0, phi0, b, c, dt, n_steps, stride=1):
+    """Step the field psi and phi = psi' from (psi0, phi0), mode k under
+    A_k = [[0, 1], [b_k, c]].
 
     Returns (psis, phis, steps, blow_slot) as :func:`run_uniform` does,
     with one row per stored sample: psi's grid values, and phi's spectrum
     (``np.fft.ifft`` makes its grid values; row 0's are ``phi0``).
     """
-    if a_tt <= 0.0:
-        raise ValueError("second-order stepping needs a_tt > 0")
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    lam = laplacian_eigenvalues(len(psi0), dx, laplacian)
-    return _run_field((2.0 * v + a_xx * lam) / a_tt, -2j / a_tt,
-                      (psi0, np.asarray(phi0, dtype=np.complex128)),
+    return _run_field(b, c, (np.asarray(psi0, dtype=np.complex128),
+                             np.asarray(phi0, dtype=np.complex128)),
                       float(dt), int(n_steps), int(stride))
 
 
-def run_field_first_order(psi0, a_xx, v, dx, dt, n_steps, stride=1,
-                          laplacian="stencil"):
-    """Step the Schrodinger limit psi' = i ((a_xx / 2) lap psi - v psi).
+def run_field_first_order(psi0, rate, dt, n_steps, stride=1):
+    """Step the field psi from psi0, mode k as psi_hat' = rate_k psi_hat.
 
     Returns (psis, steps, blow_slot) as :func:`run_uniform` does, without
-    the derivative: it is slaved to psi in this limit, and
-    :func:`first_order_derivative` makes it from the rows when asked.  The
-    blow-up slot is the first row whose psi or derivative is bad.
+    the derivative: :func:`first_order_derivative` makes it from the rows
+    and ``rate`` when asked.  The blow-up slot is the first row whose psi
+    or derivative is bad.
     """
-    psi0 = np.asarray(psi0, dtype=np.complex128)
-    rate = schrodinger_rate(laplacian_eigenvalues(len(psi0), dx, laplacian),
-                            a_xx, v)
-    return _run_field(rate, None, (psi0,), float(dt), int(n_steps), int(stride))
+    return _run_field(rate, None, (np.asarray(psi0, dtype=np.complex128),),
+                      float(dt), int(n_steps), int(stride))

@@ -42,11 +42,6 @@ LAPLACIAN_MODES = ("stencil", "spectral")
 _WAVENUMBER_RANGE = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 
 
-def _check_laplacian_mode(mode: str) -> None:
-    if mode not in LAPLACIAN_MODES:
-        raise ValueError(f"laplacian mode must be one of {LAPLACIAN_MODES}, got {mode!r}")
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid: n points (power of two, >= 8) on [0, length)."""
@@ -76,9 +71,16 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     def laplacian_eigenvalues(self, laplacian: str = "stencil") -> np.ndarray:
-        """Positive eigenvalues k_eff^2 of minus the discrete Laplacian."""
-        _check_laplacian_mode(laplacian)
-        return kernels.laplacian_eigenvalues(self.n, self.dx, laplacian)
+        """Eigenvalues k_eff^2 of minus the discrete Laplacian, in fft order:
+        (2 / dx^2) (1 - cos(k dx)) for the stencil, k^2 for the exact
+        spectral operator."""
+        if laplacian not in LAPLACIAN_MODES:
+            raise ValueError(f"laplacian mode must be one of {LAPLACIAN_MODES}, "
+                             f"got {laplacian!r}")
+        k = self.wavenumbers()
+        if laplacian == "spectral":
+            return k * k
+        return (2.0 / self.dx**2) * (1.0 - np.cos(k * self.dx))
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +213,6 @@ class PdeProblem:
     unstable_modes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _check_laplacian_mode(self.laplacian)
         if self.min_steps < 1:
             raise ValueError("min_steps must be >= 1")
         order = 1 if self.coeffs.a_tt == 0.0 else 2
@@ -249,6 +250,21 @@ class PdeProblem:
             object.__setattr__(self, name, value)
 
 
+def schrodinger_rate(lam: np.ndarray, a_xx: float, v: float) -> np.ndarray:
+    """Rate of each mode in the first-order limit, psi_hat' = rate psi_hat:
+    i (-(a_xx / 2) lam - v), for Laplacian eigenvalues ``lam``."""
+    return 1j * (-0.5 * a_xx * lam - v)
+
+
+def _mode_coefficients(coeffs: CanonicalCoefficients, lam: np.ndarray) -> tuple:
+    """What each mode is stepped by, for Laplacian eigenvalues ``lam``: (b, c)
+    of A_k = [[0, 1], [b_k, c]], phi_hat' = b_k psi_hat + c phi_hat; in the
+    first-order limit (rate, None)."""
+    if coeffs.a_tt == 0.0:
+        return schrodinger_rate(lam, coeffs.a_xx, coeffs.v), None
+    return (2.0 * coeffs.v + coeffs.a_xx * lam) / coeffs.a_tt, -2j / coeffs.a_tt
+
+
 def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
     """Run ``problem``'s plan from ``initial``.
 
@@ -268,21 +284,19 @@ def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
             if spectrum[unstable].max() > 1e-12 * spectrum.max():
                 raise ValueError("initial data has content at unstable wavenumbers; "
                                  "filter it (spectral_filter) or set allow_unstable")
-    n_steps, stride = problem.n_steps, problem.snapshot_stride
-    coeffs = problem.coeffs
+    plan = (problem.dt, problem.n_steps, problem.snapshot_stride)
+    # the eigenvalues are a temporary: only the coefficients outlive this line
+    b, c = _mode_coefficients(problem.coeffs,
+                              grid.laplacian_eigenvalues(problem.laplacian))
     psi0 = initial.psi.values
     rate = dpsis = phi0 = None
-    if coeffs.a_tt == 0.0:
-        psis, steps, blow = kernels.run_field_first_order(
-            psi0, coeffs.a_xx, coeffs.v, grid.dx, problem.dt, n_steps, stride,
-            problem.laplacian)
-        rate = kernels.schrodinger_rate(
-            grid.laplacian_eigenvalues(problem.laplacian), coeffs.a_xx, coeffs.v)
+    if c is None:
+        rate = b
+        psis, steps, blow = kernels.run_field_first_order(psi0, rate, *plan)
     else:
         phi0 = initial.dpsi_dt.values
         psis, dpsis, steps, blow = kernels.run_field_second_order(
-            psi0, phi0, coeffs.a_xx, coeffs.a_tt, coeffs.v,
-            grid.dx, problem.dt, n_steps, stride, problem.laplacian)
+            psi0, phi0, b, c, *plan)
     if blow >= 0:
         t_blow = float(steps[blow]) * problem.dt
         detail = ""
@@ -341,8 +355,8 @@ def schrodinger_consistent_state(psi: ComplexField, coeffs: CanonicalCoefficient
     derivative applies the evolution's discrete Laplacian mode by mode,
     through its eigenvalues.
     """
-    rate = kernels.schrodinger_rate(psi.grid.laplacian_eigenvalues(laplacian_mode),
-                                    coeffs.a_xx, coeffs.v)
+    rate = schrodinger_rate(psi.grid.laplacian_eigenvalues(laplacian_mode),
+                            coeffs.a_xx, coeffs.v)
     phi = kernels.first_order_derivative(psi.values, rate)
     return FieldState(psi, ComplexField(phi, psi.grid))
 

@@ -182,9 +182,10 @@ SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
         # step rule's |A| * horizon from underflowing to zero.
         "horizon_tau": KeySpec(
             "list_float", [100.0, 1000.0],
-            "time horizons in tau_p units, one CSV each: at least one, "
-            "each in [1e-100, 1e6]",
-            lambda hs: len(hs) > 0 and all(1e-100 <= h <= 1e6 for h in hs)),
+            "time horizons in tau_p units, one CSV each, named by the horizon's "
+            "%g form: at least one, each in [1e-100, 1e6], no two of one name",
+            lambda hs: len(hs) > 0 and all(1e-100 <= h <= 1e6 for h in hs)
+            and len({f"{h:g}" for h in hs}) == len(hs)),
         "samples_per_period": KeySpec("int", 32,
                                       "CSV samples per pi-long period, in [4, 4096]",
                                       lambda x: 4 <= x <= 4096),
@@ -289,7 +290,7 @@ def load_config_file(path: str | Path) -> dict:
     """Read a JSON config file (a single flat object)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -748,13 +749,17 @@ def run_scenario(scenario: str, params: Optional[dict] = None,
     ``params`` must already be resolved via :func:`resolve_config` (pass
     None for all defaults).  A manifest left by an earlier run is removed
     before the first CSV is written, and the new one is renamed into place
-    last, so ``manifest.json`` only ever sits next to a complete run.
+    last, so ``manifest.json`` only ever sits next to a complete run.  An
+    ``out_dir`` that cannot be made raises ConfigError before any run.
     """
     resolved = resolve_config(scenario, params or {})
     consts = constants if constants is not None else PhysicalConstants()
     scales = derive_scales(consts)
     out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
+    try:
+        out_path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"cannot make output directory {out_path}: {exc}") from exc
     started = time.perf_counter()
     outputs, solver = _RUNNERS[scenario](resolved)
     manifest_path = out_path / "manifest.json"

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from nsblab import kernels
 from nsblab.analytic import CanonicalCoefficients, dispersion_branches
 from nsblab.integrator import TemporalState, convergence_order, integrate_uniform
-from nsblab.pde import ComplexField, FieldState, Grid, PdeProblem, evolve, stability_dt
+from nsblab.pde import (ComplexField, FieldState, Grid, PdeProblem, _mode_coefficients,
+                        evolve, stability_dt)
 
 
 def random_state(n, seed, scale=0.1):
@@ -139,23 +140,43 @@ def reference_uniform(psi0, phi0, v, dt, n_steps, stride):
     return psis[:, 0], phis[:, 0], steps
 
 
+# --------------------------------------------------------------------------
+# Kernel runs, handed the coefficients ``evolve`` derives.
+# --------------------------------------------------------------------------
+
+
+def mode_coefficients(a_xx, a_tt, v, n, dx, laplacian):
+    """(b, c), or (rate, None) in the first-order limit, of each mode of the
+    n-point grid of spacing dx, as ``evolve`` derives them."""
+    lam = Grid(n, n * dx).laplacian_eigenvalues(laplacian)
+    return _mode_coefficients(CanonicalCoefficients(a_xx=a_xx, a_tt=a_tt, v=v), lam)
+
+
+def uniform_coefficients(v):
+    """(b, c) of the uniform system: one point, a_xx = 0 and a_tt = 1."""
+    return _mode_coefficients(CanonicalCoefficients(a_xx=0.0, a_tt=1.0, v=v),
+                              np.zeros(1))
+
+
 def run_first_order(psi0, a_xx, v, dx, dt, n_steps, stride, laplacian):
     """The first-order kernel's run as (psis, dpsis_dt, steps, blow_slot), the
     order the reference returns, with the derivative made on demand."""
-    psis, steps, blow = kernels.run_field_first_order(psi0, a_xx, v, dx, dt,
-                                                      n_steps, stride, laplacian)
-    lam = kernels.laplacian_eigenvalues(len(psi0), dx, laplacian)
+    rate, _ = mode_coefficients(a_xx, 0.0, v, len(psi0), dx, laplacian)
+    psis, steps, blow = kernels.run_field_first_order(psi0, rate, dt, n_steps,
+                                                      stride)
     with np.errstate(all="ignore"):  # a blown-up row's derivative overflows
-        dpsis = kernels.first_order_derivative(
-            psis, kernels.schrodinger_rate(lam, a_xx, v))
+        dpsis = kernels.first_order_derivative(psis, rate)
     return psis, dpsis, steps, blow
 
 
-def run_second_order(psi0, phi0, *args):
+def run_second_order(psi0, phi0, a_xx, a_tt, v, dx, dt, n_steps, stride,
+                     laplacian):
     """The second-order kernel's run as (psis, dpsis_dt, steps, blow_slot),
     the derivative's spectra made fields as ``EvolutionResult`` makes them:
     one inverse FFT, with row 0 the initial derivative."""
-    psis, spectra, steps, blow = kernels.run_field_second_order(psi0, phi0, *args)
+    b, c = mode_coefficients(a_xx, a_tt, v, len(psi0), dx, laplacian)
+    psis, spectra, steps, blow = kernels.run_field_second_order(
+        psi0, phi0, b, c, dt, n_steps, stride)
     with np.errstate(all="ignore"):  # a blown-up row's spectrum overflows
         phis = np.fft.ifft(spectra, axis=-1)
     phis[0] = phi0
@@ -213,7 +234,7 @@ def test_stored_samples_are_capped_before_allocation():
             kernels._run_field(np.zeros(points), 0.0, (np.zeros(points),) * 2,
                                1e-3, n_steps, stride)
     with pytest.raises(ValueError, match="bytes"):  # 64 TB of arrays
-        kernels.run_uniform(0.0j, 2.0j, 0.0, 1e-3, 10**12, 1)
+        kernels.run_uniform(0.0j, 2.0j, *uniform_coefficients(0.0), 1e-3, 10**12, 1)
 
 
 @pytest.mark.parametrize("n_steps,stride", [(1000, 1), (10000, 10), (9999, 7),
@@ -222,7 +243,8 @@ def test_uniform_run_allocates_within_the_run_bytes(n_steps, stride):
     # the one-point run's peak, the blow-up scan and the trajectory's times
     # included, stays within the count and near it
     need = kernels.run_bytes(1, kernels.sample_rows(n_steps, stride), 2)
-    runs = (lambda: kernels.run_uniform(0.0j, 2.0j, 0.0, 1e-3, n_steps, stride),
+    b, c = uniform_coefficients(0.0)
+    runs = (lambda: kernels.run_uniform(0.0j, 2.0j, b, c, 1e-3, n_steps, stride),
             lambda: integrate_uniform(TemporalState(0.0j, 2.0j), 0.0,
                                       n_steps * 1e-3, 1e-3, stride))
     for run in runs:
@@ -240,7 +262,7 @@ def test_stencil_laplacian_constant_is_zero():
     n, dx = 16, 0.5
     vals = np.full(n, 2.0 - 1.0j)
     assert np.max(np.abs(_operator(n, dx, "stencil")(vals))) == 0.0
-    assert kernels.laplacian_eigenvalues(n, dx, "stencil")[0] == 0.0
+    assert Grid(n, n * dx).laplacian_eigenvalues("stencil")[0] == 0.0
 
 
 def assert_plane_waves_are_eigenvectors(mode, modes):
@@ -248,7 +270,7 @@ def assert_plane_waves_are_eigenvectors(mode, modes):
     n, length = 64, 8.0
     dx = length / n
     x = np.arange(n) * dx
-    lam = kernels.laplacian_eigenvalues(n, dx, mode)
+    lam = Grid(n, length).laplacian_eigenvalues(mode)
     for j in modes:
         wave = np.exp(1j * 2.0 * np.pi * j / length * x)
         out = _operator(n, dx, mode)(wave)
@@ -267,7 +289,7 @@ def test_spectral_laplacian_mode_eigenvalue():
 
 def test_laplacian_eigenvalues_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        kernels.laplacian_eigenvalues(16, 0.5, "foo")
+        Grid(16, 8.0).laplacian_eigenvalues("foo")
 
 
 # --------------------------------------------------------------------------
@@ -295,7 +317,8 @@ def assert_matches(got, want):
 @pytest.mark.parametrize("n_steps,stride", STRIDE_CASES)
 def test_uniform_kernel_matches_reference(n_steps, stride):
     psi, phi = 0.3 - 0.1j, 0.2j
-    assert_matches(kernels.run_uniform(psi, phi, 0.2, 0.05, n_steps, stride),
+    assert_matches(kernels.run_uniform(psi, phi, *uniform_coefficients(0.2), 0.05,
+                                       n_steps, stride),
                    reference_uniform(psi, phi, 0.2, 0.05, n_steps, stride))
 
 
@@ -342,7 +365,8 @@ def test_propagator_matches_reference_property(order, laplacian, n, dx_scale, r,
     dt = stability_dt(coeffs, Grid(n, n * dx), safety, laplacian)
     psi, phi = random_state(n, seed)
     if order == "uniform":
-        got = kernels.run_uniform(psi[0], phi[0], v, dt, n_steps, stride)
+        got = kernels.run_uniform(psi[0], phi[0], *uniform_coefficients(v), dt,
+                                  n_steps, stride)
         want = reference_uniform(psi[0], phi[0], v, dt, n_steps, stride)
     elif order == "second":
         got = run_second_order(psi, phi, r, 1.0, v, dx, dt, n_steps, stride,
@@ -360,7 +384,8 @@ def test_propagator_matches_reference_property(order, laplacian, n, dx_scale, r,
 def test_field_kernel_shapes_and_steps():
     psi, phi = random_state(16, 1)
     snap_psi, snap_phi, steps, blow = kernels.run_field_second_order(
-        psi, phi, 0.1, 1.0, 0.0, 0.5, 0.01, 100, stride=30, laplacian="stencil")
+        psi, phi, *mode_coefficients(0.1, 1.0, 0.0, 16, 0.5, "stencil"), 0.01, 100,
+        stride=30)
     assert blow == -1
     assert list(steps) == [0, 30, 60, 90, 100]
     assert snap_psi.shape == (5, 16)
@@ -370,9 +395,10 @@ def test_field_kernel_shapes_and_steps():
 
 def test_rerun_is_bit_identical():
     psi, phi = random_state(32, 4)
-    args = (psi, phi, 0.05, 1.0, 0.0, 0.5, 0.01, 200)
-    a = kernels.run_field_second_order(*args, stride=50, laplacian="stencil")
-    b = kernels.run_field_second_order(*args, stride=50, laplacian="stencil")
+    args = (psi, phi, *mode_coefficients(0.05, 1.0, 0.0, 32, 0.5, "stencil"), 0.01,
+            200)
+    a = kernels.run_field_second_order(*args, stride=50)
+    b = kernels.run_field_second_order(*args, stride=50)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
@@ -388,8 +414,8 @@ def test_clean_first_order_run_transforms_its_rows_back_once(monkeypatch):
 
     monkeypatch.setattr(np.fft, "ifft", counted)
     psi, _ = random_state(N, 2)
-    psis, steps, blow = kernels.run_field_first_order(psi, A_XX, V, DX, 0.5,
-                                                      1000, 7, "spectral")
+    rate, _ = mode_coefficients(A_XX, 0.0, V, N, DX, "spectral")
+    psis, steps, blow = kernels.run_field_first_order(psi, rate, 0.5, 1000, 7)
     assert blow == -1 and len(psis) == len(steps) == 144
     assert len(calls) == 1
 
@@ -452,7 +478,7 @@ def exact_run(coeffs, lam, psi0, phi0, times):
     t = np.asarray(times, dtype=float)[:, None]
     psi_hat = np.fft.fft(psi0)
     if coeffs.a_tt == 0.0:
-        rate = kernels.schrodinger_rate(lam, coeffs.a_xx, coeffs.v)
+        rate = -1j * dispersion_branches(coeffs, lam)[1]
         psi_hat = np.exp(rate * t) * psi_hat
         return np.fft.ifft(psi_hat, axis=-1), np.fft.ifft(rate * psi_hat, axis=-1)
     phi_hat = np.fft.fft(phi0)
@@ -477,26 +503,45 @@ def charge(coeffs, psi, phi, dx):
     return density.sum(axis=-1) * dx
 
 
+def energy(coeffs, lam, psi, phi, dx):
+    """(E, scale) of each row: E = (dx/n) sum_k [a_tt |Phi_k|^2 -
+    (a_xx lam_k + 2 v) |Psi_k|^2] over the spectra Psi, Phi of psi and
+    psi_t, which the equation conserves for real v, and the same sum with
+    a_tt |Phi_k|^2 + (a_xx lam_k + 2 |v|) |Psi_k|^2, a positive scale."""
+    per_point = dx / psi.shape[-1]
+    kinetic = coeffs.a_tt * np.abs(np.fft.fft(phi, axis=-1)) ** 2
+    potential = np.abs(np.fft.fft(psi, axis=-1)) ** 2
+    e = (kinetic - (coeffs.a_xx * lam + 2.0 * coeffs.v) * potential).sum(axis=-1)
+    scale = (kinetic + (coeffs.a_xx * lam + 2.0 * abs(coeffs.v)) * potential).sum(axis=-1)
+    return e * per_point, scale * per_point
+
+
 ORACLE_DTS = (0.2, 0.1, 0.05)
 ORACLE_HORIZON = 400.0
 
 
 def check_against_exact(run, coeffs, lam, psi0, phi0, dx):
     """``run(dt, n_steps, stride)`` -> (psi rows, dpsi_dt rows, steps) is
-    fourth order against the exact run, and its charge drift falls at least
-    16x per halving of dt; the exact run keeps its charge to round-off."""
-    errors, drifts = [], []
+    fourth order against the exact run, and its charge and energy drifts
+    each fall at least 16x per halving of dt; the exact run keeps both to
+    round-off."""
+    errors, drifts, energy_drifts = [], [], []
     for dt in ORACLE_DTS:
         n_steps = round(ORACLE_HORIZON / dt)
         psi, phi, steps = run(dt, n_steps, n_steps // 8)
         want_psi, want_phi = exact_run(coeffs, lam, psi0, phi0, steps * dt)
         exact_q = charge(coeffs, want_psi, want_phi, dx)
         assert np.abs(exact_q - exact_q[0]).max() < 1e-9 * abs(exact_q[0])
+        exact_e, scale = energy(coeffs, lam, want_psi, want_phi, dx)
+        assert np.abs(exact_e - exact_e[0]).max() < 1e-9 * scale[0]
         errors.append((dt, float(np.abs(psi - want_psi).max())))
         q = charge(coeffs, psi, phi, dx)
         drifts.append(float(np.abs(q - q[0]).max()))
+        e = energy(coeffs, lam, psi, phi, dx)[0]
+        energy_drifts.append(float(np.abs(e - e[0]).max()))
     assert convergence_order(errors) >= 3.8
-    assert all(coarse >= 16.0 * fine for coarse, fine in zip(drifts, drifts[1:]))
+    for d in (drifts, energy_drifts):
+        assert all(coarse >= 16.0 * fine for coarse, fine in zip(d, d[1:]))
 
 
 @pytest.mark.parametrize("laplacian", ["stencil", "spectral"])
@@ -510,14 +555,12 @@ def test_field_kernel_converges_to_the_exact_propagator(order, laplacian):
     phi0 = 0.5j * psi0
     coeffs = CanonicalCoefficients(a_xx=0.1, a_tt=0.0 if order == "first" else 1.0,
                                    v=0.1)
-    lam = kernels.laplacian_eigenvalues(n, dx, laplacian)
+    lam = Grid(n, n * dx).laplacian_eigenvalues(laplacian)
 
     def run(dt, n_steps, stride):
         if order == "first":
-            psi, steps, blow = kernels.run_field_first_order(
+            psi, phi, steps, blow = run_first_order(
                 psi0, coeffs.a_xx, coeffs.v, dx, dt, n_steps, stride, laplacian)
-            rate = kernels.schrodinger_rate(lam, coeffs.a_xx, coeffs.v)
-            phi = kernels.first_order_derivative(psi, rate)
         else:
             psi, phi, steps, blow = run_second_order(
                 psi0, phi0, coeffs.a_xx, coeffs.a_tt, coeffs.v, dx, dt, n_steps,
@@ -535,8 +578,8 @@ def test_uniform_kernel_converges_to_the_exact_propagator(v):
     psi0, phi0 = np.array([0.3 + 0.0j]), np.array([2.0j])
 
     def run(dt, n_steps, stride):
-        psi, phi, steps, blow = kernels.run_uniform(psi0[0], phi0[0], v, dt,
-                                                    n_steps, stride)
+        psi, phi, steps, blow = kernels.run_uniform(
+            psi0[0], phi0[0], *uniform_coefficients(v), dt, n_steps, stride)
         assert blow == -1
         return psi[:, None], phi[:, None], steps
 
@@ -549,7 +592,8 @@ def test_uniform_kernel_converges_to_the_exact_propagator(v):
 
 
 def test_uniform_kernel_blow_up_slot():
-    psis, phis, steps, blow = kernels.run_uniform(0.0j, 2.0j, 0.0, 2.0, 5000, 1)
+    psis, phis, steps, blow = kernels.run_uniform(0.0j, 2.0j, *uniform_coefficients(0.0),
+                                                  2.0, 5000, 1)
     assert blow >= 1
     last = psis[blow]
     assert not np.isfinite(last) or abs(last) >= kernels.BLOWUP_MAGNITUDE

@@ -22,6 +22,7 @@ from nsblab.pde import (
     FieldState,
     Grid,
     PdeProblem,
+    _mode_coefficients,
     _step_plan,
     evolve,
     field_width,
@@ -127,6 +128,32 @@ def test_spectral_eigenvalue_is_exact():
     eigs = g.laplacian_eigenvalues("spectral")
     k = g.wavenumbers()
     assert np.allclose(eigs, k**2, rtol=0.0, atol=1e-13)
+
+
+# ------------------------------------------------------ mode coefficients
+
+
+@pytest.mark.parametrize("a_tt", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("v", [-0.3, 0.0, 0.2, 0.7])
+@pytest.mark.parametrize("r", [0.1, 1.0])
+@pytest.mark.parametrize("laplacian", ["stencil", "spectral"])
+def test_mode_coefficients_match_the_dispersion_branches(laplacian, r, v, a_tt):
+    # Each mode's companion matrix [[0, 1], [b_k, c]] has the eigenvalues
+    # mu = -i omega of both branches, mu^2 - c mu - b_k = 0; in the
+    # first-order limit the rate is -i omega itself.  The grid reaches
+    # modes above the critical wavenumber, and v = 0.7 makes every mode grow.
+    coeffs = CanonicalCoefficients(a_xx=r, a_tt=a_tt, v=v)
+    lam = Grid(64, 40.0).laplacian_eigenvalues(laplacian)
+    b, c = _mode_coefficients(coeffs, lam)
+    mus = [-1j * omega for omega in dispersion_branches(coeffs, lam)]
+    if a_tt == 0.0:
+        assert c is None
+        assert np.abs(b - mus[1]).max() <= 1e-12 * np.abs(mus[1]).max()
+        return
+    for mu in mus:
+        # the scale keeps the k = 0, v = 0 mode, where mu = b = 0, finite
+        scale = (np.abs(mu) ** 2 + np.abs(c * mu) + np.abs(b)).max()
+        assert np.abs(mu * mu - c * mu - b).max() <= 1e-12 * scale
 
 
 # ------------------------------------------------------------ stability_dt

@@ -626,18 +626,35 @@ def test_csv_float_format_is_full_precision(tmp_path):
             assert float(cell) == float(repr(float(cell)))  # round-trips
 
 
+# A two-probe scan, and a config for each stepping path: the uniform system
+# (fig1), a four-probe scan at its defaults, the first-order packet, and the
+# second-order fields of a 4096-point regime comparison and a full-form packet.
+RERUNS = [
+    ("dispersion_scan", {"k_values": [0.25, 0.5]}),
+    ("fig1", {"horizon_tau": [10.0]}),
+    ("dispersion_scan", {}),
+    ("pde_packet", {"n": 512}),
+    ("regime_compare", {"n": 4096, "L": 8192.0, "r": [0.1]}),
+    ("pde_packet", {"form": "full", "n": 32, "L": 128.0, "sigma0": 8.0,
+                    "horizon_tau": 10.0}),
+]
+
+
 def test_reruns_are_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        run_scenario("dispersion_scan", {"k_values": [0.25, 0.5]}, out_dir=out)
-    assert (a / "dispersion_scan_modes.csv").read_bytes() == \
-        (b / "dispersion_scan_modes.csv").read_bytes()
-    ma = json.loads((a / "manifest.json").read_text())
-    mb = json.loads((b / "manifest.json").read_text())
-    for m in (ma, mb):
-        m.pop("wall_clock_seconds")
-        m.pop("output_dir")
-    assert ma == mb
+    for i, (scenario, params) in enumerate(RERUNS):
+        a, b = tmp_path / f"{i}a", tmp_path / f"{i}b"
+        for out in (a, b):
+            run_scenario(scenario, params, out_dir=out)
+        csvs = sorted(p.name for p in a.glob("*.csv"))
+        assert csvs and csvs == sorted(p.name for p in b.glob("*.csv"))
+        for name in csvs:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), (scenario, name)
+        ma = json.loads((a / "manifest.json").read_text())
+        mb = json.loads((b / "manifest.json").read_text())
+        for m in (ma, mb):
+            m.pop("wall_clock_seconds")
+            m.pop("output_dir")
+        assert ma == mb
 
 
 def test_plotscript_emission(tmp_path):
@@ -725,6 +742,19 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     cfg.write_text("{not json")
     assert main(["run", "fig1", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+    # bytes that are not UTF-8, and an output path that is a file
+    cfg.write_bytes(b'\xff\xfe{"A": 1}')
+    out = tmp_path / "out"
+    assert main(["run", "fig1", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", "fig1", "--set", "horizon_tau=[10]", "--out",
+                 str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not list(tmp_path.glob("*.csv")) and blocker.read_text() == ""
 
 
 # Each is refused before any CSV is written.  Sizes stay small: the
@@ -744,6 +774,9 @@ INVALID_RUNS = [
     ("fig1", ["horizon_tau=[1e308]"]),
     ("fig1", ["samples_per_period=100000000"]),
     ("fig1", ["A=NaN"]),
+    # horizons that would write, and list, one CSV name twice
+    ("fig1", ["horizon_tau=[10, 10.0000001]"]),
+    ("fig1", ["horizon_tau=[3, 3]"]),
     ("regime_compare", ["n=100"]),
     ("regime_compare", ["sigma0=-1"]),
     # grids above 2^21 points, the largest on which the arrays of a
