@@ -69,6 +69,10 @@ class EvolutionResult:
     first-order limit it is ``rate`` times psi, mode by mode; ValueError
     when psi and it together exceed ``kernels.MAX_SAMPLE_BYTES``, counted
     as a second-order run's rows.
+
+    A reduced run (see ``pde.evolve``) holds ``reduce``'s output in ``psi``,
+    one entry per stored row, and no derivative: ``dpsi_dt`` raises
+    ValueError.
     """
 
     times: np.ndarray
@@ -80,6 +84,8 @@ class EvolutionResult:
     @property
     def dpsi_dt(self) -> np.ndarray:
         if self._dpsi_dt is None:
+            if self._rate is None:
+                raise ValueError("a reduced run keeps no derivative")
             rows, points = self.psi.shape
             kernels.check_bytes(kernels.run_bytes(points, rows, 2),
                                 f"{rows} rows of {points} points and their derivative")

@@ -26,12 +26,19 @@ R^(m s) - I stays finite: an overflowing power would turn rows that are
 still finite into infinities and report the blow-up early.
 
 Samples are stored every ``stride`` steps, plus the initial and final
-states.  The first stored sample whose magnitude is non-finite or at or
-above ``BLOWUP_MAGNITUDE`` ends the returned arrays; the caller turns that
-into a blow-up error.  Only psi is transformed back to grid values.  The
-second-order system's derivative rows are returned as spectra, for the
-reader to transform.  In the first-order limit only psi is stored: its
-derivative, rate * psi mode by mode, is made on demand by
+states, in a ring of slots: row i in slot i mod its length.  A materialised
+run's ring holds every row; a reduced run's holds ``RING_ROWS``, and its
+rows pass through a ``reduce`` callable, which keeps what the caller needs
+of them.  When a block would overwrite a row not yet read out, every row
+below the block's source rows is read out: psi is transformed back to grid
+values in place, the row is scanned for blow-up, and a reduced run hands
+it to ``reduce``.  A materialised run therefore reads out once, at the
+end, and a reduced run about once per ring's length, up to its first bad
+row.  The first stored sample whose magnitude is non-finite or at or above
+``BLOWUP_MAGNITUDE`` ends the returned arrays; the caller turns that into
+a blow-up error.  The second-order system's derivative rows are returned
+as spectra, for the reader to transform.  In the first-order limit only psi
+is stored: its derivative, rate * psi mode by mode, is made on demand by
 :func:`first_order_derivative`.  Either derivative counts towards the
 blow-up all the same: a row is formed and checked only where a bound on
 its magnitude cannot clear it.
@@ -78,6 +85,15 @@ def whole_steps(horizon: float, dt: float) -> tuple[int, bool]:
 # 256-point second-order run; 16 and 128 were slower.
 BLOCK_ROWS = 64
 
+# Slots of a reduced run's ring of rows.  A block and its source rows need
+# two blocks.  Each read-out costs an inverse FFT, a blow-up scan and a
+# ``reduce`` call, so a longer ring reads out fewer, longer runs of rows but
+# holds more of the grid.  On a 256-point second-order run of 1,022 rows,
+# 256 to 512 slots stepped as fast as a materialised run and 128 (15
+# read-outs, against 7 at 256) 4 % slower; a scan's peak RSS grew by about
+# 1.2 MiB per 128 slots.
+RING_ROWS = 4 * BLOCK_ROWS
+
 # Cap on the bytes of arrays one run may ask for, as :func:`run_bytes`
 # counts them.  A run above it is refused before anything is allocated.
 MAX_SAMPLE_BYTES = 2**30
@@ -103,22 +119,27 @@ def sample_steps(n_steps: int, stride: int) -> np.ndarray:
 
 
 # Bytes a run allocates, measured with tracemalloc (numpy 2.4) plus a
-# margin.  Per stored row and grid point, one complex128 per component (two
+# margin.  Per held row and grid point, one complex128 per component (two
 # in the second-order system, psi alone in the first-order limit) and a
 # float64 magnitude for the blow-up scan and the diagnostics.  Per stored
 # row, 24: the step index, the time and the scan's row maximum, most of a
-# one-point run's 57.  Per grid point, the work arrays of the first- or
-# second-order system: the rates, the update rows and their temporaries.
+# one-point run's 57; a reduced run adds twice what ``reduce`` keeps of a
+# row, as its outputs are joined at the end.  Per grid point, the work
+# arrays of the first- or second-order system: the rates, the update rows
+# and their temporaries.
 _POINT_ROW_BYTES = {1: 24, 2: 40}
 _ROW_BYTES = 24
 _WORK_BYTES = {1: 120, 2: 280}
 
 
-def run_bytes(points: int, rows: int, order: int) -> int:
+def run_bytes(points: int, rows: int, order: int, kept=None) -> int:
     """Bytes of every array a run of ``order`` (1 or 2) allocates on
-    ``points`` grid points while storing ``rows`` samples, times included."""
-    return (rows * (_POINT_ROW_BYTES[order] * points + _ROW_BYTES)
-            + _WORK_BYTES[order] * points)
+    ``points`` grid points while storing ``rows`` samples, times included.
+    With ``kept``, the bytes ``reduce`` keeps of a row, the run is reduced:
+    it holds at most ``RING_ROWS`` rows of the grid at once."""
+    held = rows if kept is None else min(rows, RING_ROWS)
+    return (held * _POINT_ROW_BYTES[order] * points
+            + rows * (_ROW_BYTES + 2 * (kept or 0)) + _WORK_BYTES[order] * points)
 
 
 def check_bytes(need: int, what: str) -> int:
@@ -180,16 +201,21 @@ def _advance(spectra, rows: tuple, src: int, dst: int, count: int) -> None:
         acc += x[i]
 
 
-def _propagate(b, c, spectra, dt: float, n_steps: int, stride: int) -> None:
-    """Fill rows 1.. of ``spectra`` (components x samples x modes) from row 0:
-    rows whole strides apart a block at a time (see the module docstring),
-    then a final partial stride by its own update."""
-    step = _step_update(b, c, dt, len(spectra))
+def _propagate(b, c, ring, dt: float, n_steps: int, stride: int, free) -> None:
+    """Fill rows 1.. of a run from row 0 in ``ring`` (components x slots x
+    modes, row i in slot i mod slots): rows whole strides apart a block at a
+    time (see the module docstring), then a final partial stride by its own
+    update.  ``free(src, end)`` is called before rows below ``end`` are made
+    from rows ``src`` on; the run stops where it returns False."""
+    slots = ring.shape[1]
+    step = _step_update(b, c, dt, len(ring))
     rows = n_steps // stride + 1
     e, f, m, cap = _rows(_power(step, stride, b, c), b, c), 1, 1, BLOCK_ROWS
     while f < rows:
         count = min(m, rows - f)
-        _advance(spectra, e, f - m, f, count)
+        if not free(f - m, f + count):
+            return
+        _advance(ring, e, (f - m) % slots, f % slots, count)
         f += count
         if m < cap:
             doubled = _rows(e[0] + e[0] + _times(e[0], e), b, c)
@@ -199,9 +225,9 @@ def _propagate(b, c, spectra, dt: float, n_steps: int, stride: int) -> None:
             else:
                 cap = m
     e = doubled = None  # freed before the partial stride's update is formed
-    if n_steps % stride:
-        _advance(spectra, _rows(_power(step, n_steps % stride, b, c), b, c),
-                 rows - 1, rows, 1)
+    if n_steps % stride and free(rows - 1, rows + 1):
+        _advance(ring, _rows(_power(step, n_steps % stride, b, c), b, c),
+                 (rows - 1) % slots, rows % slots, 1)
 
 
 def first_order_derivative(psis: np.ndarray, rate: np.ndarray) -> np.ndarray:
@@ -226,6 +252,27 @@ def _first_bad_row(ok: np.ndarray, cleared: np.ndarray, derivative) -> int:
     return end if end < len(ok) else -1
 
 
+def _read_rows(rows: np.ndarray, start: int, initial, b) -> int:
+    """Turn the psi spectra of ``rows`` (components x k x modes), the stored
+    rows from ``start`` on, into grid values in place, and return the index
+    in ``rows`` of the first bad row, else -1 (see :func:`_first_bad_row`)."""
+    psis = np.fft.ifft(rows[0], axis=-1, out=rows[0])
+    if start == 0:
+        psis[0] = initial[0]
+    # A row's derivative is cleared where twice a bound on its magnitude, for
+    # rounding, lies below the blow-up magnitude; a NaN clears nothing.
+    if len(rows) == 1:
+        # |rate psi| <= max|rate| sqrt(n) max|psi| (Cauchy-Schwarz and Parseval)
+        peak = np.abs(psis).max(axis=1)
+        bound = 2.0 * float(np.abs(b).max()) * math.sqrt(len(b))
+        return _first_bad_row(peak < BLOWUP_MAGNITUDE, bound * peak < BLOWUP_MAGNITUDE,
+                              lambda i: first_order_derivative(psis[i], b))
+    # |phi| <= (1/n) sum |Phi_k| <= max |Phi_k|
+    return _first_bad_row(np.abs(psis).max(axis=1) < BLOWUP_MAGNITUDE,
+                          2.0 * np.abs(rows[1]).max(axis=1) < BLOWUP_MAGNITUDE,
+                          lambda i: np.fft.ifft(rows[1, i]) if start + i else initial[1])
+
+
 def run_uniform(psi0, phi0, b, c, dt, n_steps, stride=1):
     """Step one mode y' = A y, A = [[0, 1], [b, c]], from y = (psi0, phi0).
 
@@ -239,61 +286,79 @@ def run_uniform(psi0, phi0, b, c, dt, n_steps, stride=1):
     return psis[:, 0], phis[:, 0], steps, blow_slot
 
 
-def _run_field(b, c, initial, dt, n_steps, stride):
+def _run_field(b, c, initial, dt, n_steps, stride, reduce=None):
     """Step the spectra of the d components ``initial`` under A_k (see the
     module docstring) and return psi (samples x points), the derivative's
     spectra when d = 2 (a one-point grid's spectrum is its value), the
-    stored step indices and the blow-up slot, every array cut after it."""
+    stored step indices and the blow-up slot, every array cut after it.
+
+    The ring holds every row of a materialised run, and ``RING_ROWS`` of a
+    reduced one, whose rows are read out as the module docstring says.  A
+    reduced run checks its count again once the first ``reduce`` output
+    shows what a row keeps, and it returns the outputs, joined along their
+    first axis, for psi and None for the derivative.
+    """
     points, d = len(b), len(initial)
-    check_bytes(run_bytes(points, sample_rows(n_steps, stride), d),
-                f"{n_steps} steps stored every {stride} on {points} point(s)")
+    rows = sample_rows(n_steps, stride)
+    what = f"{n_steps} steps stored every {stride} on {points} point(s)"
+    check_bytes(run_bytes(points, rows, d, None if reduce is None else 0), what)
     steps = sample_steps(n_steps, stride)
-    out = np.empty((d, len(steps), points), dtype=np.complex128)
-    np.fft.fft(initial, axis=-1, out=out[:, 0])
+    slots = rows if reduce is None else min(rows, RING_ROWS)
+    ring = np.empty((d, slots, points), dtype=np.complex128)
+    np.fft.fft(initial, axis=-1, out=ring[:, 0])
+    outputs, done, blow = [], 0, -1
+
+    def read_out(stop: int) -> bool:
+        """Read out rows [done, stop), a run of slots at a time; False once
+        a row is bad."""
+        nonlocal done, blow
+        while done < stop and blow < 0:
+            s = done % slots
+            k = min(stop - done, slots - s)
+            bad = _read_rows(ring[:, s:s + k], done, initial, b)
+            if bad >= 0:
+                blow, k = done + bad, bad + 1
+            if reduce is not None:
+                outputs.append(reduce(ring[0, s:s + k]))
+                if len(outputs) == 1:
+                    check_bytes(run_bytes(points, rows, d, outputs[0].nbytes // k),
+                                f"{what}, reduced")
+            done += k
+        return blow < 0
+
     with np.errstate(all="ignore"):  # unstable runs overflow; rows are checked
-        _propagate(b, c, out, dt, n_steps, stride)
-        psis = np.fft.ifft(out[0], axis=-1, out=out[0])
-        psis[0] = initial[0]
-        # A row's derivative is cleared where twice a bound on its magnitude,
-        # for rounding, lies below the blow-up magnitude; a NaN clears nothing.
-        if d == 1:
-            # |rate psi| <= max|rate| sqrt(n) max|psi| (Cauchy-Schwarz and
-            # Parseval)
-            peak = np.abs(psis).max(axis=1)
-            bound = 2.0 * float(np.abs(b).max()) * math.sqrt(points)
-            blow_slot = _first_bad_row(
-                peak < BLOWUP_MAGNITUDE, bound * peak < BLOWUP_MAGNITUDE,
-                lambda i: first_order_derivative(psis[i], b))
-        else:
-            # |phi| <= (1/n) sum |Phi_k| <= max |Phi_k|
-            blow_slot = _first_bad_row(
-                np.abs(psis).max(axis=1) < BLOWUP_MAGNITUDE,
-                2.0 * np.abs(out[1]).max(axis=1) < BLOWUP_MAGNITUDE,
-                lambda i: np.fft.ifft(out[1, i]) if i else initial[1])
-    rows = len(steps) if blow_slot < 0 else blow_slot + 1
-    return (*out[:, :rows], steps[:rows], blow_slot)
+        _propagate(b, c, ring, dt, n_steps, stride,
+                   lambda src, end: end - slots <= done or read_out(src))
+        read_out(rows)
+    if reduce is None:
+        return (*ring[:, :done], steps[:done], blow)
+    return (np.concatenate(outputs), *[None] * (d - 1), steps[:done], blow)
 
 
-def run_field_second_order(psi0, phi0, b, c, dt, n_steps, stride=1):
+def run_field_second_order(psi0, phi0, b, c, dt, n_steps, stride=1, reduce=None):
     """Step the field psi and phi = psi' from (psi0, phi0), mode k under
     A_k = [[0, 1], [b_k, c]].
 
     Returns (psis, phis, steps, blow_slot) as :func:`run_uniform` does,
     with one row per stored sample: psi's grid values, and phi's spectrum
-    (``np.fft.ifft`` makes its grid values; row 0's are ``phi0``).
+    (``np.fft.ifft`` makes its grid values; row 0's are ``phi0``).  With
+    ``reduce``, which maps a stack of psi rows to one entry per row, psis
+    holds its outputs and phis is None (see :func:`_run_field`); the rows
+    it is handed are views of slots that later rows reuse.
     """
     return _run_field(b, c, (np.asarray(psi0, dtype=np.complex128),
                              np.asarray(phi0, dtype=np.complex128)),
-                      float(dt), int(n_steps), int(stride))
+                      float(dt), int(n_steps), int(stride), reduce)
 
 
-def run_field_first_order(psi0, rate, dt, n_steps, stride=1):
+def run_field_first_order(psi0, rate, dt, n_steps, stride=1, reduce=None):
     """Step the field psi from psi0, mode k as psi_hat' = rate_k psi_hat.
 
     Returns (psis, steps, blow_slot) as :func:`run_uniform` does, without
     the derivative: :func:`first_order_derivative` makes it from the rows
     and ``rate`` when asked.  The blow-up slot is the first row whose psi
-    or derivative is bad.
+    or derivative is bad.  With ``reduce``, psis holds its outputs, as in
+    :func:`run_field_second_order`.
     """
     return _run_field(rate, None, (np.asarray(psi0, dtype=np.complex128),),
-                      float(dt), int(n_steps), int(stride))
+                      float(dt), int(n_steps), int(stride), reduce)

@@ -265,7 +265,7 @@ def _mode_coefficients(coeffs: CanonicalCoefficients, lam: np.ndarray) -> tuple:
     return (2.0 * coeffs.v + coeffs.a_xx * lam) / coeffs.a_tt, -2j / coeffs.a_tt
 
 
-def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
+def evolve(problem: PdeProblem, initial: FieldState, reduce=None) -> EvolutionResult:
     """Run ``problem``'s plan from ``initial``.
 
     Initial data with content at the plan's unstable modes is refused with
@@ -273,6 +273,11 @@ def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
     :class:`BlowUpError` (with the offending time and the dominant
     wavenumber of the last finite snapshot) if the field leaves the
     representable range.
+
+    With ``reduce``, which maps a stack of psi rows (rows x points) to one
+    entry per row, the run is reduced as it is stepped: the record's ``psi``
+    holds ``reduce``'s outputs, one entry per stored row, and it keeps no
+    derivative.  Only a few blocks of rows are held at once.
     """
     grid = problem.grid
     if initial.grid != grid:
@@ -288,20 +293,28 @@ def evolve(problem: PdeProblem, initial: FieldState) -> EvolutionResult:
     # the eigenvalues are a temporary: only the coefficients outlive this line
     b, c = _mode_coefficients(problem.coeffs,
                               grid.laplacian_eigenvalues(problem.laplacian))
+    kept, keep = [], reduce
+    if reduce is not None:
+        def keep(rows):
+            # the last two rows read out: once the ring has moved on, the
+            # only copy of a blow-up's last good row
+            kept[:] = [*kept, *rows[-2:].copy()][-2:]
+            return reduce(rows)
     psi0 = initial.psi.values
     rate = dpsis = phi0 = None
     if c is None:
-        rate = b
-        psis, steps, blow = kernels.run_field_first_order(psi0, rate, *plan)
+        psis, steps, blow = kernels.run_field_first_order(psi0, b, *plan,
+                                                          reduce=keep)
+        rate = None if reduce else b
     else:
         phi0 = initial.dpsi_dt.values
         psis, dpsis, steps, blow = kernels.run_field_second_order(
-            psi0, phi0, b, c, *plan)
+            psi0, phi0, b, c, *plan, reduce=keep)
     if blow >= 0:
         t_blow = float(steps[blow]) * problem.dt
         detail = ""
         if blow > 0:
-            last_good = psis[blow - 1]
+            last_good = kept[0] if reduce else psis[blow - 1]
             spectrum = np.abs(np.fft.fft(last_good))
             k_dom = grid.wavenumbers()[int(np.argmax(spectrum))]
             detail = f"dominant content near k_hat={k_dom:.4g}"

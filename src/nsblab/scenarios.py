@@ -294,7 +294,7 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
@@ -312,6 +312,8 @@ def parse_set_overrides(pairs: Iterable[str]) -> dict:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
             out[key] = raw
+        except RecursionError as exc:
+            raise ConfigError(f"--set value for {key!r} nests too deeply: {exc}") from exc
     return out
 
 
@@ -501,10 +503,9 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
                     f"requested k_hat={k_snap:.6g} lies above the critical "
                     "wavenumber; set allow_unstable to probe growth")
             state, _, _ = plane_wave_state(grid, j, coeffs, "plus", lap_mode)
-        result = _refused(evolve, plan, state)
-        # Only these are kept: the run is freed before the next probe's.
-        times, amps = result.times, mode_amplitudes(result.psi, j)
-        result = None
+        result = _refused(evolve, plan, state,
+                          reduce=lambda rows: mode_amplitudes(rows, j))
+        times, amps = result.times, result.psi
         if mode_stable:
             measured = fit_mode_frequency(times, amps)
             reference = omega_m_exact.real

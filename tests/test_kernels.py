@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nsblab import kernels
@@ -379,6 +379,69 @@ def test_propagator_matches_reference_property(order, laplacian, n, dx_scale, r,
                                      laplacian)
     assert np.array_equal(got[2], kernels.sample_steps(n_steps, stride))
     assert_matches(got, want)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(order=st.sampled_from(["first", "second"]),
+       n=st.sampled_from([1, 2, 8, 32]),
+       dx=st.floats(0.2, 4.0),
+       r=st.floats(0.1, 2.0),
+       v=st.floats(-0.5, 0.7),
+       stride=st.integers(1, 5),
+       n_steps=st.integers(0, 700),
+       whole_strides=st.booleans(),
+       dt_scale=st.floats(0.05, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+# rows that wrap the ring more than once and end in a partial stride, and
+# runs that blow up after the first wrap
+@example("second", 8, 1.0, 1.0, 0.0, 2, 699, False, 0.5, 1)
+@example("first", 32, 1.0, 1.0, 0.0, 1, 700, False, 1.3, 0)
+@example("second", 32, 1.0, 1.0, 0.0, 1, 700, False, 1.0, 0)
+def test_reduced_run_equals_the_materialised_run(order, n, dx, r, v, stride, n_steps,
+                                                  whole_strides, dt_scale, seed):
+    # Rows are read out of a ring of kernels.RING_ROWS slots as the run goes;
+    # up to 701 rows wrap it twice.  Up to twice the stability bound, the
+    # doubling cap and the blow-up slot fall anywhere.
+    if whole_strides:
+        n_steps -= n_steps % stride
+    coeffs = CanonicalCoefficients(a_xx=r, a_tt=1.0 if order == "second" else 0.0, v=v)
+    lam = (2.0 * np.pi * np.fft.fftfreq(n, d=dx)) ** 2
+    omegas = np.concatenate([np.atleast_1d(w) for w in dispersion_branches(coeffs, lam)])
+    fastest = np.max(np.abs(omegas.real) + np.abs(omegas.imag))
+    assume(fastest > 0.0)  # one point at v = 0 in the first-order limit is at rest
+    dt = dt_scale * kernels.RK4_IMAGINARY_STABILITY / fastest
+    b, c = _mode_coefficients(coeffs, lam)
+    psi, phi = random_state(n, seed)
+    if order == "second":
+        args = (psi, phi, b, c, dt, n_steps, stride)
+        run = kernels.run_field_second_order
+    else:
+        args = (psi, b, dt, n_steps, stride)
+        run = kernels.run_field_first_order
+    whole = run(*args)
+    reduced = run(*args, reduce=lambda rows: rows.copy())
+    assert whole[0].shape == reduced[0].shape
+    assert whole[0].tobytes() == reduced[0].tobytes()
+    assert np.array_equal(whole[-2], reduced[-2])
+    assert whole[-1] == reduced[-1]
+    if order == "second":
+        assert reduced[1] is None
+
+
+def test_reduced_run_counts_what_reduce_keeps():
+    # the ring is counted before it is allocated, and what a row keeps once
+    # the first rows are reduced: here 16 MiB a row, viewed, not allocated
+    rate, _ = mode_coefficients(A_XX, 0.0, V, N, DX, "stencil")
+    psi, _ = random_state(N, 8)
+    need = kernels.run_bytes(N, 1001, 1, kept=16)
+    assert need == kernels.RING_ROWS * 24 * N + 1001 * (24 + 32) + 120 * N
+    psis, steps, blow = kernels.run_field_first_order(
+        psi, rate, 0.01, 1000, reduce=lambda rows: rows[:, 0].copy())
+    assert blow == -1 and psis.shape == steps.shape == (1001,)
+    with pytest.raises(ValueError, match="reduced"):
+        kernels.run_field_first_order(
+            psi, rate, 0.01, 1000,
+            reduce=lambda rows: np.broadcast_to(0j, (len(rows), 2**20)))
 
 
 def test_field_kernel_shapes_and_steps():

@@ -498,12 +498,38 @@ def test_packet_width_follows_free_spreading_law():
 def test_blow_up_reports_time_and_mode():
     g = Grid(32, 40.0)
     state = FieldState.uniform(g, 0.0, 2.0j)
-    prob = PdeProblem(FULL_R1, g, t_end=2000.0, dt=2.0,
-                      snapshot_stride=1, allow_unstable=True)
-    with pytest.raises(BlowUpError) as info:
-        evolve(prob, state)
-    assert info.value.time > 0.0
-    assert "k_hat" in info.value.detail
+    # At dt = 2.82 a reduced run's bad row opens a read-out of the ring, so
+    # its last good row was read out before it.
+    for dt in (2.0, 2.82):
+        prob = PdeProblem(FULL_R1, g, t_end=1000.0 * dt, dt=dt,
+                          snapshot_stride=1, allow_unstable=True)
+        with pytest.raises(BlowUpError) as info:
+            evolve(prob, state)
+        assert info.value.time > 0.0
+        assert "k_hat" in info.value.detail
+        # a reduced run reads rows from RING_ROWS - BLOCK_ROWS on only once
+        # the ring has wrapped, and reports the same
+        assert info.value.time / dt >= kernels.RING_ROWS - kernels.BLOCK_ROWS
+        with pytest.raises(BlowUpError) as reduced:
+            evolve(prob, state, reduce=lambda rows: rows[:, 0].copy())
+        assert str(reduced.value) == str(info.value)
+
+
+@pytest.mark.parametrize("a_tt", [0.0, 1.0])
+def test_reduced_evolution_keeps_what_reduce_returns(a_tt):
+    # every mode of this grid is stable, and 301 rows wrap the ring
+    g = Grid(32, 128.0)
+    coeffs = CanonicalCoefficients(a_xx=1.0, a_tt=a_tt, v=0.0)
+    state = schrodinger_consistent_state(gaussian_packet(g, 8.0), coeffs, "spectral")
+    prob = PdeProblem(coeffs, g, t_end=15.0, dt=0.05, snapshot_stride=1,
+                      laplacian="spectral")
+    whole = evolve(prob, state)
+    reduced = evolve(prob, state, reduce=lambda rows: rows.copy())
+    assert len(whole.times) > kernels.RING_ROWS
+    assert np.array_equal(reduced.times, whole.times)
+    assert np.array_equal(reduced.psi, whole.psi)
+    with pytest.raises(ValueError, match="reduced"):
+        reduced.dpsi_dt
 
 
 def test_evolution_is_deterministic():

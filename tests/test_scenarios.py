@@ -459,16 +459,22 @@ def test_pde_packet_allocates_within_its_count(tmp_path):
 
 
 def test_dispersion_scan_allocates_within_its_count(tmp_path):
-    # 8 probes of 1,022 stored rows each: a probe's run is freed before the
-    # next probe's is made, so the plan's count for one run covers the scan
-    modes = [3, 17, 40, 64, 77, 90, 111, 128]
-    params = resolve_config("dispersion_scan", {}, {
-        "n": 256, "L": 1024.0, "laplacian": "stencil", "horizon_tau": 1000.0,
-        "k_values": [2.0 * math.pi * j / 1024.0 for j in modes]})
-    manifest, peak = peak_bytes("dispersion_scan", params, tmp_path)
-    assert manifest["solver"]["n_steps"] == 1021
-    need = run_bytes(256, 1022, 2)
-    assert 0.5 * need < peak <= need
+    # Each probe's run is reduced to one complex amplitude a row as it is
+    # stepped, so a reduced run's count covers the scan: a ring of rows of
+    # the grid, and what every row keeps.  The ring does not grow with the
+    # horizon, so eight times the rows need little more memory.
+    peaks = []
+    for horizon, modes, n_steps in ((1000.0, [3, 17, 40, 64, 77, 90, 111, 128], 1021),
+                                    (8000.0, [17, 90], 8164)):
+        params = resolve_config("dispersion_scan", {}, {
+            "n": 256, "L": 1024.0, "laplacian": "stencil", "horizon_tau": horizon,
+            "k_values": [2.0 * math.pi * j / 1024.0 for j in modes]})
+        manifest, peak = peak_bytes("dispersion_scan", params, tmp_path)
+        assert manifest["solver"]["n_steps"] == n_steps
+        need = run_bytes(256, n_steps + 1, 2, kept=16)
+        assert 0.5 * need < peak <= need
+        peaks.append(peak)
+    assert peaks[1] < 2 * peaks[0]
 
 
 @pytest.mark.parametrize("overrides", [{}, {"n": 4096, "L": 8192.0, "r": [0.1]},
@@ -755,6 +761,14 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not list(tmp_path.glob("*.csv")) and blocker.read_text() == ""
+    # JSON nested beyond the parser's recursion limit, in a file and in --set
+    deep = "[" * 100000
+    cfg.write_text(deep)
+    for args in (["--config", str(cfg)], ["--set", f"A={deep}"]):
+        assert main(["run", "fig1", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 # Each is refused before any CSV is written.  Sizes stay small: the
@@ -850,6 +864,20 @@ def test_cli_exit_code_on_blow_up(tmp_path, capsys):
                "--set", "horizon_tau=1000.0"])
     assert rc == 3
     assert "blew up" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_dispersion_scan_blow_up_names_its_last_good_row(tmp_path, capsys):
+    # the probe blows up at step 239, after its rows have wrapped the ring
+    # once, so the row the message reads was read out before the blow-up
+    rc = main(["run", "dispersion_scan", "--out", str(tmp_path),
+               "--set", "r=0.1", "--set", "allow_unstable=true", "--set", "dt=2.5",
+               "--set", "horizon_tau=3000", "--set", "n=64", "--set", "L=64",
+               "--set", "laplacian=spectral", "--set", "k_values=[0.5]"])
+    assert rc == 3
+    assert capsys.readouterr().err == ("error: solution blew up at t_hat=597.5 "
+                                       "(dominant content near k_hat=0)\n")
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.filterwarnings("error")
