@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .analytic import (
     DEFAULT_REGIME_THRESHOLD,
     EquationForm,
@@ -35,6 +35,7 @@ from .analytic import (
 )
 from .constants import PhysicalConstants, derive_scales
 from .integrator import (
+    BlowUpError,
     TemporalState,
     UnderflowError,
     convergence_order,
@@ -53,6 +54,7 @@ from .pde import (
     FieldState,
     Grid,
     PdeProblem,
+    _mode_coefficients,
     evolve,
     field_width,
     fit_mode_frequency,
@@ -452,16 +454,54 @@ def _run_fig1(params: dict) -> tuple[list[OutputFile], dict]:
 def _refused(fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, with its refusals as configuration errors.
 
-    For the planning calls and ``evolve``'s check of the initial data, a
-    ValueError means the inputs ask for a run that cannot be made: a size
-    beyond the float or int64 range, a horizon that is not whole steps,
-    arrays above ``kernels.MAX_SAMPLE_BYTES``, or what ``PdeProblem``
-    refuses without ``allow_unstable``.
+    For the planning calls, ``evolve``'s check of the initial data and a
+    probe's one-point run, a ValueError means the inputs ask for a run that
+    cannot be made: a size beyond the float or int64 range, a horizon that
+    is not whole steps, arrays above ``kernels.MAX_SAMPLE_BYTES``, or what
+    ``PdeProblem`` refuses without ``allow_unstable``.
     """
     try:
         return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+# Bytes a dispersion_scan probe holds a stored row beyond its one-point
+# run's count: its times and the fit's phases and temporaries (np.unwrap,
+# np.polyfit), or, while the next probe runs, its times and amplitudes.
+# Tracemalloc measured the whole scan at 96-98 B a row (1,194 to 1e6 rows)
+# against the 104 counted.
+_FIT_ROW_BYTES = 40
+
+
+def _scan_bytes(plan_bytes: int, rows: int) -> int:
+    """Bytes a dispersion_scan run holds at once: its plan's count (the
+    grid's work arrays and its end rows), one probe's one-point run of
+    ``rows`` stored rows, and the fit's temporaries a row."""
+    return plan_bytes + run_bytes(1, rows, 2) + _FIT_ROW_BYTES * rows
+
+
+def _probe(plan: PdeProblem, state: FieldState, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Times and mode-j amplitudes of the run ``plan`` makes from ``state``,
+    every step stored, where ``state`` has content at mode j alone.
+
+    The propagator is diagonal in k, so that run stays in mode j: it is a
+    one-point run from the mode's coefficients over n, stepped by the mode's
+    own (b_j, c).  A bad row raises BlowUpError at its time, naming the
+    probed wavenumber.
+    """
+    grid = plan.grid
+    lam = grid.laplacian_eigenvalues(plan.laplacian)[j % grid.n]
+    b, c = _mode_coefficients(plan.coeffs, lam)
+    psi0, phi0 = mode_amplitudes(np.stack((state.psi.values, state.dpsi_dt.values)), j)
+    amps, _, steps, blow = _refused(kernels.run_uniform, psi0, phi0, b, c, plan.dt,
+                                    plan.n_steps)
+    if blow >= 0:
+        detail = ""
+        if blow > 0:
+            detail = f"dominant content near k_hat={2.0 * math.pi * j / grid.length:.4g}"
+        raise BlowUpError(float(steps[blow]) * plan.dt, detail)
+    return steps * plan.dt, amps
 
 
 def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
@@ -473,9 +513,16 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     s_max = float(np.max(growth_rates(coeffs, grid, lap_mode)))
     window = min(params["horizon_tau"], growth_horizon(s_max))
     capped = window < params["horizon_tau"]
+    # The plan sets dt and the step count from the whole grid, as a field
+    # run would take them; each probe is a one-point run of its own mode
+    # (see _probe), so the plan stores only the grid's end rows.
     plan = _refused(PdeProblem, coeffs, grid, t_end=window, dt=params["dt"],
-                    snapshot_stride=1, laplacian=lap_mode, safety=params["safety"],
-                    allow_unstable=params["allow_unstable"], min_steps=16)
+                    snapshot_stride=lambda n_steps: n_steps, laplacian=lap_mode,
+                    safety=params["safety"], allow_unstable=params["allow_unstable"],
+                    min_steps=16)
+    stored = sample_rows(plan.n_steps, 1)
+    _refused(check_bytes, _scan_bytes(plan.n_bytes, stored),
+             f"{stored} stored rows a probe and their fit")
     rows = []
     for k_req in params["k_values"]:
         mode = k_req * grid.length / (2.0 * math.pi)
@@ -503,9 +550,7 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
                     f"requested k_hat={k_snap:.6g} lies above the critical "
                     "wavenumber; set allow_unstable to probe growth")
             state, _, _ = plane_wave_state(grid, j, coeffs, "plus", lap_mode)
-        result = _refused(evolve, plan, state,
-                          reduce=lambda rows: mode_amplitudes(rows, j))
-        times, amps = result.times, result.psi
+        times, amps = _probe(plan, state, j)
         if mode_stable:
             measured = fit_mode_frequency(times, amps)
             reference = omega_m_exact.real

@@ -12,11 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nsblab import scenarios
-from nsblab.analytic import EquationForm, EquationParameters, reduce_equation
+from nsblab.analytic import (EquationForm, EquationParameters, dispersion_branches,
+                             reduce_equation)
 from nsblab.cli import main
 from nsblab.constants import PhysicalConstants
 from nsblab.kernels import MAX_SAMPLE_BYTES, run_bytes
-from nsblab.pde import Grid, plane_wave_state
+from nsblab.pde import (Grid, PdeProblem, _mode_coefficients, evolve, mode_amplitudes,
+                        plane_wave_state, stability_dt)
 from nsblab.scenarios import (
     SCENARIO_KEYS,
     ConfigError,
@@ -27,6 +29,7 @@ from nsblab.scenarios import (
     run_scenario,
     scenario_names,
 )
+from test_kernels import reference_uniform
 
 
 def read_csv(path):
@@ -385,6 +388,43 @@ def test_dispersion_scan_rejects_overcritical_potential(tmp_path):
         run_scenario("dispersion_scan", {"v": 0.6}, out_dir=tmp_path)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.sampled_from([8, 16, 32, 64]), laplacian=st.sampled_from(["stencil", "spectral"]),
+       r=st.floats(0.05, 4.0), v=st.floats(-1.0, 0.45), length=st.floats(2.0, 400.0),
+       branch=st.sampled_from(["plus", "minus"]), n_steps=st.integers(1, 150),
+       data=st.data())
+def test_probe_equals_the_field_runs_mode_amplitude(n, laplacian, r, v, length, branch,
+                                                    n_steps, data):
+    j = data.draw(st.integers(-(n // 2), n // 2))
+    coeffs = reduce_equation(EquationParameters(r, v, EquationForm.FULL))
+    grid = Grid(n, length)
+    dt = stability_dt(coeffs, grid, 0.7, laplacian)
+    plan = PdeProblem(coeffs, grid, t_end=n_steps * dt, snapshot_stride=1,
+                      laplacian=laplacian, allow_unstable=True)
+    state = plane_wave_state(grid, j, coeffs, branch, laplacian)[0]
+    times, amps = scenarios._probe(plan, state, j)
+    if not plan.unstable_modes.any():
+        result = evolve(plan, state)
+        want = mode_amplitudes(result.psi, j)
+        assert np.array_equal(times, result.times)
+        assert np.abs(amps - want).max() <= 1e-13 * np.abs(want).max()
+        return
+    # The field run carries its growing modes' amplified round-off, so the
+    # probe is checked against the stage-by-stage reference of its mode
+    # (a_tt = 1: c = -2i, as in the uniform system, whose b is 2v).  Where
+    # the probe's own mode grows, round-off in the start reaches the size a
+    # unit start grows to: the bound is a share of that.
+    lam = grid.laplacian_eigenvalues(laplacian)[j % n]
+    b, _ = _mode_coefficients(coeffs, lam)
+    psi0, phi0 = mode_amplitudes(np.stack((state.psi.values, state.dpsi_dt.values)), j)
+    want, _, steps = reference_uniform(psi0, phi0, b / 2.0, plan.dt, plan.n_steps, 1)
+    assert np.array_equal(times, steps * plan.dt)
+    growth = max(1.0, *np.abs(rk4_factor(-1j * np.array(dispersion_branches(coeffs, lam))
+                                         * plan.dt)))
+    reach = max(abs(psi0), abs(phi0)) * growth ** plan.n_steps
+    assert np.abs(amps - want).max() <= 1e-12 * reach
+
+
 # ---------------------------------------------------------- regime compare
 
 
@@ -459,22 +499,27 @@ def test_pde_packet_allocates_within_its_count(tmp_path):
 
 
 def test_dispersion_scan_allocates_within_its_count(tmp_path):
-    # Each probe's run is reduced to one complex amplitude a row as it is
-    # stepped, so a reduced run's count covers the scan: a ring of rows of
-    # the grid, and what every row keeps.  The ring does not grow with the
-    # horizon, so eight times the rows need little more memory.
-    peaks = []
-    for horizon, modes, n_steps in ((1000.0, [3, 17, 40, 64, 77, 90, 111, 128], 1021),
-                                    (8000.0, [17, 90], 8164)):
+    # Each probe is a one-point run of its own mode, so the scan holds the
+    # plan's grid arrays and, one probe at a time, its run's rows and the
+    # fit's temporaries.  The last case is a 112,246-row probe, which the
+    # grid run's plan refused (1.15e9 B counted).
+    run_scenario("dispersion_scan", out_dir=tmp_path)  # imports numpy.fft
+    needs = []
+    for horizon, k_values, n_steps in (
+            (1000.0, [2.0 * math.pi * j / 1024.0 for j in (3, 17, 40, 64, 77, 90, 111, 128)],
+             1021),
+            (8000.0, [2.0 * math.pi * j / 1024.0 for j in (17, 90)], 8164),
+            (110000.0, [0.1], 112245)):
         params = resolve_config("dispersion_scan", {}, {
             "n": 256, "L": 1024.0, "laplacian": "stencil", "horizon_tau": horizon,
-            "k_values": [2.0 * math.pi * j / 1024.0 for j in modes]})
+            "k_values": k_values})
         manifest, peak = peak_bytes("dispersion_scan", params, tmp_path)
         assert manifest["solver"]["n_steps"] == n_steps
-        need = run_bytes(256, n_steps + 1, 2, kept=16)
+        need = scenarios._scan_bytes(run_bytes(256, 2, 2), n_steps + 1)
         assert 0.5 * need < peak <= need
-        peaks.append(peak)
-    assert peaks[1] < 2 * peaks[0]
+        needs.append(need)
+    # the one-point run's rows cost less than a ring of the grid's rows did
+    assert needs[1] < run_bytes(256, 8165, 2, kept=16)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"n": 4096, "L": 8192.0, "r": [0.1]},
@@ -867,17 +912,36 @@ def test_cli_exit_code_on_blow_up(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_cli_dispersion_scan_blow_up_names_its_last_good_row(tmp_path, capsys):
-    # the probe blows up at step 239, after its rows have wrapped the ring
-    # once, so the row the message reads was read out before the blow-up
+def test_cli_dispersion_scan_blow_up_names_the_probed_mode(tmp_path, capsys):
+    # dt = 2.5 is beyond the stability bound; the probe steps its own mode
+    # alone, so the blow-up is that mode's, at k_hat = 2 pi 5 / 64
     rc = main(["run", "dispersion_scan", "--out", str(tmp_path),
                "--set", "r=0.1", "--set", "allow_unstable=true", "--set", "dt=2.5",
                "--set", "horizon_tau=3000", "--set", "n=64", "--set", "L=64",
                "--set", "laplacian=spectral", "--set", "k_values=[0.5]"])
     assert rc == 3
-    assert capsys.readouterr().err == ("error: solution blew up at t_hat=597.5 "
-                                       "(dominant content near k_hat=0)\n")
+    assert capsys.readouterr().err == ("error: solution blew up at t_hat=600 "
+                                       "(dominant content near k_hat=0.4909)\n")
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_dispersion_scan_runs_a_probe_the_grid_plan_refused(tmp_path):
+    # 112,246 rows: the grid run's plan counted 1.15e9 B for them and was
+    # refused; a one-point probe counts about 12 MB
+    rc = main(["run", "dispersion_scan", "--out", str(tmp_path),
+               "--set", "n=256", "--set", "L=1024", "--set", "laplacian=stencil",
+               "--set", "horizon_tau=110000", "--set", "k_values=[0.1]"])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    _, rows = read_csv(tmp_path / "dispersion_scan_modes.csv")
+    # the RK4 phase of the stencil's slow branch, as
+    # test_dispersion_scan_measures_the_rk4_phase_of_the_slow_branch checks
+    params = resolve_config("dispersion_scan", {}, manifest["config"])
+    _, omega_minus = discrete_branches(params, float(rows[0][0]))
+    dt = manifest["solver"]["dt"]
+    want = -np.angle(rk4_factor(-1j * omega_minus * dt)) / dt
+    assert abs(float(rows[0][2]) - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.filterwarnings("error")
