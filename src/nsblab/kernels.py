@@ -7,7 +7,9 @@ numerics: each is handed, in fft order, what every mode is stepped by
 second-order system evolves as y' = A_k y, y = (psi_hat, phi_hat), with
 A_k = [[0, 1], [b_k, c]] and c one non-zero value; in the first-order limit
 psi_hat' = rate_k psi_hat.  The uniform system is the second-order system
-on a one-point grid, whose spectrum is its value.
+on a one-point grid, whose spectrum is its value; :func:`run_uniform` steps
+K independent one-mode systems, one (b_j, start) each and one c, as K
+one-point grids side by side on the point axis, with no FFT.
 
 One classical RK4 step of a mode is exactly the polynomial
 R(h A) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, so a stride of s steps
@@ -168,11 +170,13 @@ def _power(e: np.ndarray, s: int, b, c) -> np.ndarray:
     """(I + e)^s - I by repeated squaring, for an update e and s >= 1."""
     out = None
     while s:
+        # the rows of e serve both its product into out and its square
+        rows = _rows(e, b, c) if s > 1 or out is not None else None
         if s & 1:
-            out = e if out is None else out + e + _times(out, _rows(e, b, c))
+            out = e if out is None else out + e + _times(out, rows)
         s >>= 1
         if s:
-            e = e + e + _times(e, _rows(e, b, c))
+            e = e + e + _times(e, rows)
     return out
 
 
@@ -252,11 +256,13 @@ def _first_bad_row(ok: np.ndarray, cleared: np.ndarray, derivative) -> int:
     return end if end < len(ok) else -1
 
 
-def _read_rows(rows: np.ndarray, start: int, initial, b) -> int:
+def _read_rows(rows: np.ndarray, start: int, initial, b, transform=True) -> int:
     """Turn the psi spectra of ``rows`` (components x k x modes), the stored
     rows from ``start`` on, into grid values in place, and return the index
-    in ``rows`` of the first bad row, else -1 (see :func:`_first_bad_row`)."""
-    psis = np.fft.ifft(rows[0], axis=-1, out=rows[0])
+    in ``rows`` of the first bad row, else -1 (see :func:`_first_bad_row`).
+    Without ``transform`` the rows are values already: each point is its own
+    one-point grid."""
+    psis = np.fft.ifft(rows[0], axis=-1, out=rows[0]) if transform else rows[0]
     if start == 0:
         psis[0] = initial[0]
     # A row's derivative is cleared where twice a bound on its magnitude, for
@@ -270,23 +276,33 @@ def _read_rows(rows: np.ndarray, start: int, initial, b) -> int:
     # |phi| <= (1/n) sum |Phi_k| <= max |Phi_k|
     return _first_bad_row(np.abs(psis).max(axis=1) < BLOWUP_MAGNITUDE,
                           2.0 * np.abs(rows[1]).max(axis=1) < BLOWUP_MAGNITUDE,
-                          lambda i: np.fft.ifft(rows[1, i]) if start + i else initial[1])
+                          lambda i: rows[1, i] if not transform
+                          else np.fft.ifft(rows[1, i]) if start + i else initial[1])
 
 
 def run_uniform(psi0, phi0, b, c, dt, n_steps, stride=1):
-    """Step one mode y' = A y, A = [[0, 1], [b, c]], from y = (psi0, phi0).
+    """Step K independent one-mode systems y' = A_j y, A_j = [[0, 1], [b_j, c]],
+    from y = (psi0_j, phi0_j), side by side on the point axis of one run.
+    Each system is its own one-point grid, so its value is its spectrum.  A
+    system's rows match its run alone to round-off, not bit for bit: numpy
+    rounds a complex product of one-element arrays by another loop.
 
-    Returns (psis, phis, steps, blow_slot): the stored values, the stored
-    step indices (times are steps * dt), and -1 for a clean run, else the
-    index of the first stored sample that blew up (the arrays end there).
+    Returns (psis, phis, steps, blow_slot): the stored values (samples x K,
+    or one value a sample for scalar starts), the stored step indices
+    (times are steps * dt), and -1 for a clean run, else the index of the
+    first stored sample at which any system blew up (the arrays end there).
     """
+    initial = tuple(np.atleast_1d(np.asarray(y, dtype=np.complex128))
+                    for y in (psi0, phi0))
     psis, phis, steps, blow_slot = _run_field(
-        np.atleast_1d(b), c, ([complex(psi0)], [complex(phi0)]), float(dt),
-        int(n_steps), int(stride))
-    return psis[:, 0], phis[:, 0], steps, blow_slot
+        np.atleast_1d(b), c, initial, float(dt), int(n_steps), int(stride),
+        transform=False)
+    if np.ndim(psi0) == 0:
+        psis, phis = psis[:, 0], phis[:, 0]
+    return psis, phis, steps, blow_slot
 
 
-def _run_field(b, c, initial, dt, n_steps, stride, reduce=None):
+def _run_field(b, c, initial, dt, n_steps, stride, reduce=None, transform=True):
     """Step the spectra of the d components ``initial`` under A_k (see the
     module docstring) and return psi (samples x points), the derivative's
     spectra when d = 2 (a one-point grid's spectrum is its value), the
@@ -296,7 +312,9 @@ def _run_field(b, c, initial, dt, n_steps, stride, reduce=None):
     reduced one, whose rows are read out as the module docstring says.  A
     reduced run checks its count again once the first ``reduce`` output
     shows what a row keeps, and it returns the outputs, joined along their
-    first axis, for psi and None for the derivative.
+    first axis, for psi and None for the derivative.  Without
+    ``transform``, each point is its own one-point grid: ``initial`` and the
+    rows are values, and the run makes no FFT.
     """
     points, d = len(b), len(initial)
     rows = sample_rows(n_steps, stride)
@@ -305,7 +323,10 @@ def _run_field(b, c, initial, dt, n_steps, stride, reduce=None):
     steps = sample_steps(n_steps, stride)
     slots = rows if reduce is None else min(rows, RING_ROWS)
     ring = np.empty((d, slots, points), dtype=np.complex128)
-    np.fft.fft(initial, axis=-1, out=ring[:, 0])
+    if transform:
+        np.fft.fft(initial, axis=-1, out=ring[:, 0])
+    else:
+        ring[:, 0] = initial
     outputs, done, blow = [], 0, -1
 
     def read_out(stop: int) -> bool:
@@ -315,7 +336,7 @@ def _run_field(b, c, initial, dt, n_steps, stride, reduce=None):
         while done < stop and blow < 0:
             s = done % slots
             k = min(stop - done, slots - s)
-            bad = _read_rows(ring[:, s:s + k], done, initial, b)
+            bad = _read_rows(ring[:, s:s + k], done, initial, b, transform)
             if bad >= 0:
                 blow, k = done + bad, bad + 1
             if reduce is not None:

@@ -43,6 +43,7 @@ from .integrator import (
 )
 from .kernels import (
     BLOCK_ROWS,
+    BLOWUP_MAGNITUDE,
     MAX_SAMPLE_BYTES,
     check_bytes,
     run_bytes,
@@ -454,8 +455,8 @@ def _run_fig1(params: dict) -> tuple[list[OutputFile], dict]:
 def _refused(fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, with its refusals as configuration errors.
 
-    For the planning calls, ``evolve``'s check of the initial data and a
-    probe's one-point run, a ValueError means the inputs ask for a run that
+    For the planning calls, ``evolve``'s check of the initial data and the
+    scan's kernel runs, a ValueError means the inputs ask for a run that
     cannot be made: a size beyond the float or int64 range, a horizon that
     is not whole steps, arrays above ``kernels.MAX_SAMPLE_BYTES``, or what
     ``PdeProblem`` refuses without ``allow_unstable``.
@@ -466,42 +467,20 @@ def _refused(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-# Bytes a dispersion_scan probe holds a stored row beyond its one-point
-# run's count: its times and the fit's phases and temporaries (np.unwrap,
-# np.polyfit), or, while the next probe runs, its times and amplitudes.
-# Tracemalloc measured the whole scan at 96-98 B a row (1,194 to 1e6 rows)
-# against the 104 counted.
+# Bytes a dispersion_scan run holds a stored row beyond its kernel run's
+# count: the times and one probe's fit phases and temporaries (np.unwrap,
+# np.polyfit).  Tracemalloc measured whole scans at 96 B a row against the
+# 105 counted (one probe, 112,246 rows), 130 against 155 (2 probes) and 660
+# against 716 (16 probes, 8,165 rows each).
 _FIT_ROW_BYTES = 40
 
 
-def _scan_bytes(plan_bytes: int, rows: int) -> int:
+def _scan_bytes(plan_bytes: int, probes: int, rows: int) -> int:
     """Bytes a dispersion_scan run holds at once: its plan's count (the
-    grid's work arrays and its end rows), one probe's one-point run of
-    ``rows`` stored rows, and the fit's temporaries a row."""
-    return plan_bytes + run_bytes(1, rows, 2) + _FIT_ROW_BYTES * rows
-
-
-def _probe(plan: PdeProblem, state: FieldState, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Times and mode-j amplitudes of the run ``plan`` makes from ``state``,
-    every step stored, where ``state`` has content at mode j alone.
-
-    The propagator is diagonal in k, so that run stays in mode j: it is a
-    one-point run from the mode's coefficients over n, stepped by the mode's
-    own (b_j, c).  A bad row raises BlowUpError at its time, naming the
-    probed wavenumber.
-    """
-    grid = plan.grid
-    lam = grid.laplacian_eigenvalues(plan.laplacian)[j % grid.n]
-    b, c = _mode_coefficients(plan.coeffs, lam)
-    psi0, phi0 = mode_amplitudes(np.stack((state.psi.values, state.dpsi_dt.values)), j)
-    amps, _, steps, blow = _refused(kernels.run_uniform, psi0, phi0, b, c, plan.dt,
-                                    plan.n_steps)
-    if blow >= 0:
-        detail = ""
-        if blow > 0:
-            detail = f"dominant content near k_hat={2.0 * math.pi * j / grid.length:.4g}"
-        raise BlowUpError(float(steps[blow]) * plan.dt, detail)
-    return steps * plan.dt, amps
+    grid's work arrays and its end rows), one kernel run of ``probes``
+    one-point systems of ``rows`` stored rows, and the fit's temporaries a
+    row."""
+    return plan_bytes + run_bytes(probes, rows, 2) + _FIT_ROW_BYTES * rows
 
 
 def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
@@ -514,16 +493,17 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     window = min(params["horizon_tau"], growth_horizon(s_max))
     capped = window < params["horizon_tau"]
     # The plan sets dt and the step count from the whole grid, as a field
-    # run would take them; each probe is a one-point run of its own mode
-    # (see _probe), so the plan stores only the grid's end rows.
+    # run would take them; the probes are stepped as one-point systems, so
+    # the plan stores only the grid's end rows.
     plan = _refused(PdeProblem, coeffs, grid, t_end=window, dt=params["dt"],
                     snapshot_stride=lambda n_steps: n_steps, laplacian=lap_mode,
                     safety=params["safety"], allow_unstable=params["allow_unstable"],
                     min_steps=16)
     stored = sample_rows(plan.n_steps, 1)
-    _refused(check_bytes, _scan_bytes(plan.n_bytes, stored),
+    _refused(check_bytes, _scan_bytes(plan.n_bytes, 1, stored),
              f"{stored} stored rows a probe and their fit")
-    rows = []
+    b, c = _mode_coefficients(coeffs, grid.laplacian_eigenvalues(lap_mode))
+    probes = []
     for k_req in params["k_values"]:
         mode = k_req * grid.length / (2.0 * math.pi)
         if not abs(mode) <= grid.n // 2 + 0.5:
@@ -550,19 +530,37 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
                     f"requested k_hat={k_snap:.6g} lies above the critical "
                     "wavenumber; set allow_unstable to probe growth")
             state, _, _ = plane_wave_state(grid, j, coeffs, "plus", lap_mode)
-        times, amps = _probe(plan, state, j)
-        if mode_stable:
-            measured = fit_mode_frequency(times, amps)
-            reference = omega_m_exact.real
-            if reference != 0.0:
-                rel = abs(measured - reference) / abs(reference)
-            else:
-                rel = abs(measured - reference)
-            rows.append((k_snap, reference, measured, rel, resolved,
-                         float("nan"), float("nan")))
-        else:
-            rows.append((k_snap, float("nan"), float("nan"), float("nan"), resolved,
-                         omega_p_exact.imag, fit_mode_growth(times, amps)))
+        # A probe starts on one branch of mode j alone, and the propagator is
+        # diagonal in k, so its run stays in that mode: a one-point system
+        # from the mode's coefficient over n, stepped by its (b_j, c).
+        probes.append((*mode_amplitudes(np.stack((state.psi.values, state.dpsi_dt.values)), j),
+                       b[j % grid.n], 2.0 * math.pi * j / grid.length, k_snap, resolved,
+                       omega_m_exact.real if mode_stable else None, omega_p_exact.imag))
+    # The probes share c, dt and the step count, so one kernel run steps as
+    # many side by side as the byte cap holds.
+    base = _scan_bytes(plan.n_bytes, 0, stored)
+    per = (kernels.MAX_SAMPLE_BYTES - base) // (_scan_bytes(plan.n_bytes, 1, stored) - base)
+    rows = []
+    for batch in (probes[i:i + per] for i in range(0, len(probes), per)):
+        psi0, phi0, b_batch = (np.array(x) for x in zip(*(p[:3] for p in batch)))
+        amps, phis, steps, blow = _refused(kernels.run_uniform, psi0, phi0, b_batch, c,
+                                           plan.dt, plan.n_steps)
+        if blow >= 0:  # name the first probe bad in the row the run stops at
+            bad = ~((np.abs(amps[blow]) < BLOWUP_MAGNITUDE)
+                    & (np.abs(phis[blow]) < BLOWUP_MAGNITUDE))
+            raise BlowUpError(float(steps[blow]) * plan.dt, "" if blow == 0 else
+                              f"dominant content near k_hat={batch[np.argmax(bad)][3]:.4g}")
+        times = steps * plan.dt
+        del phis, steps  # the fits need only the times and the amplitudes
+        for (*_, k_snap, resolved, reference, growth), column in zip(batch, amps.T):
+            if reference is None:
+                rows.append((k_snap, math.nan, math.nan, math.nan, resolved, growth,
+                             fit_mode_growth(times, column)))
+                continue
+            measured = fit_mode_frequency(times, column)
+            rel = abs(measured - reference) / (abs(reference) if reference != 0.0 else 1.0)
+            rows.append((k_snap, reference, measured, rel, resolved, math.nan, math.nan))
+        del amps, times  # freed before the next run
     outputs = [OutputFile(
         name="dispersion_scan_modes.csv",
         header=["k_hat", "omega_minus_analytic", "omega_minus_measured",

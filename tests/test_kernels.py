@@ -381,6 +381,42 @@ def test_propagator_matches_reference_property(order, laplacian, n, dx_scale, r,
     assert_matches(got, want)
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(k=st.integers(1, 8), data=st.data(), dt_scale=st.floats(0.05, 10.0),
+       n_steps=st.integers(1, 200), stride=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_uniform_run_matches_its_one_point_runs(k, data, dt_scale, n_steps,
+                                                        stride, seed):
+    # K systems side by side stop at the first row where any is bad, the
+    # earliest of their own runs' slots.  b > 1 grows, and dt up to ten
+    # times the fastest system's stability bound blows up from a few rows to
+    # none in 200 steps, so the slots fall anywhere.
+    b = np.array(data.draw(st.lists(st.floats(-20.0, 4.0), min_size=k, max_size=k)))
+    # the eigenvalues of [[0, 1], [b, -2i]] are -i +- sqrt(b - 1)
+    dt = dt_scale * kernels.RK4_IMAGINARY_STABILITY / (1.0 + np.sqrt(np.abs(b - 1.0)).max())
+    psi0, phi0 = random_state(k, seed, scale=1.0)
+    _, c = uniform_coefficients(0.0)
+    psis, phis, steps, blow = kernels.run_uniform(psi0, phi0, b, c, dt, n_steps, stride)
+    alone = [kernels.run_uniform(psi0[i], phi0[i], b[i], c, dt, n_steps, stride)
+             for i in range(k)]
+    assert blow == min((run[3] for run in alone if run[3] >= 0), default=-1)
+    rows = blow + 1 if blow >= 0 else kernels.sample_rows(n_steps, stride)
+    assert psis.shape == phis.shape == (rows, k)
+    assert np.array_equal(steps, kernels.sample_steps(n_steps, stride)[:rows])
+    # Rows before the slot agree to round-off, not bit for bit: numpy forms
+    # a complex product of one-element operands by another inner loop than
+    # one over K points, and the two round differently.  The tolerance is a
+    # few thousand ulps of each system's largest value so far.
+    good = rows - (blow >= 0)
+    for i, (psi, phi, _, _) in enumerate(alone):
+        scale = np.maximum.accumulate(np.maximum(np.abs(psi[:good]), np.abs(phi[:good])))
+        assert np.all(np.abs(psis[:good, i] - psi[:good]) <= 1e-12 * scale)
+        assert np.all(np.abs(phis[:good, i] - phi[:good]) <= 1e-12 * scale)
+    one = kernels.run_uniform(psi0[:1], phi0[:1], b[:1], c, dt, n_steps, stride)
+    assert one[0][:, 0].tobytes() == alone[0][0].tobytes()  # K = 1 is the scalar run
+    assert one[1][:, 0].tobytes() == alone[0][1].tobytes()
+
+
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(order=st.sampled_from(["first", "second"]),
        n=st.sampled_from([1, 2, 8, 32]),

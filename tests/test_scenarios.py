@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from nsblab import scenarios
@@ -388,41 +388,74 @@ def test_dispersion_scan_rejects_overcritical_potential(tmp_path):
         run_scenario("dispersion_scan", {"v": 0.6}, out_dir=tmp_path)
 
 
+def scan_fits(params):
+    """The scan's solver entry and the (times, amplitudes) each of its fits
+    is handed, in k_values order; the fits themselves return 1."""
+    fits = []
+
+    def spy(times, amps):
+        fits.append((times.copy(), amps.copy()))
+        return 1.0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "fit_mode_frequency", spy)
+        patch.setattr(scenarios, "fit_mode_growth", spy)
+        _, solver = scenarios._run_dispersion_scan(params)
+    return solver, fits
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(n=st.sampled_from([8, 16, 32, 64]), laplacian=st.sampled_from(["stencil", "spectral"]),
        r=st.floats(0.05, 4.0), v=st.floats(-1.0, 0.45), length=st.floats(2.0, 400.0),
-       branch=st.sampled_from(["plus", "minus"]), n_steps=st.integers(1, 150),
-       data=st.data())
-def test_probe_equals_the_field_runs_mode_amplitude(n, laplacian, r, v, length, branch,
-                                                    n_steps, data):
-    j = data.draw(st.integers(-(n // 2), n // 2))
+       n_steps=st.integers(1, 150), data=st.data())
+def test_probe_equals_the_field_runs_mode_amplitude(n, laplacian, r, v, length, n_steps,
+                                                    data):
+    # The scan steps its probes side by side in one kernel run; each column
+    # it fits is checked against the probed mode's amplitude in a field run.
+    modes = data.draw(st.lists(st.integers(-(n // 2), n // 2), min_size=1, max_size=4))
     coeffs = reduce_equation(EquationParameters(r, v, EquationForm.FULL))
     grid = Grid(n, length)
     dt = stability_dt(coeffs, grid, 0.7, laplacian)
-    plan = PdeProblem(coeffs, grid, t_end=n_steps * dt, snapshot_stride=1,
-                      laplacian=laplacian, allow_unstable=True)
-    state = plane_wave_state(grid, j, coeffs, branch, laplacian)[0]
-    times, amps = scenarios._probe(plan, state, j)
-    if not plan.unstable_modes.any():
-        result = evolve(plan, state)
-        want = mode_amplitudes(result.psi, j)
-        assert np.array_equal(times, result.times)
-        assert np.abs(amps - want).max() <= 1e-13 * np.abs(want).max()
-        return
-    # The field run carries its growing modes' amplified round-off, so the
-    # probe is checked against the stage-by-stage reference of its mode
-    # (a_tt = 1: c = -2i, as in the uniform system, whose b is 2v).  Where
-    # the probe's own mode grows, round-off in the start reaches the size a
-    # unit start grows to: the bound is a share of that.
-    lam = grid.laplacian_eigenvalues(laplacian)[j % n]
-    b, _ = _mode_coefficients(coeffs, lam)
-    psi0, phi0 = mode_amplitudes(np.stack((state.psi.values, state.dpsi_dt.values)), j)
-    want, _, steps = reference_uniform(psi0, phi0, b / 2.0, plan.dt, plan.n_steps, 1)
-    assert np.array_equal(times, steps * plan.dt)
-    growth = max(1.0, *np.abs(rk4_factor(-1j * np.array(dispersion_branches(coeffs, lam))
-                                         * plan.dt)))
-    reach = max(abs(psi0), abs(phi0)) * growth ** plan.n_steps
-    assert np.abs(amps - want).max() <= 1e-12 * reach
+    params = resolve_config("dispersion_scan", {}, {
+        "n": n, "L": length, "laplacian": laplacian, "r": r, "v": v, "dt": dt,
+        "horizon_tau": n_steps * dt, "allow_unstable": True,
+        "k_values": [2.0 * math.pi * j / length for j in modes]})
+    try:
+        solver, fits = scan_fits(params)
+    except ConfigError as exc:  # a mode too slow to measure in the window
+        if "lengthen horizon_tau" not in str(exc):
+            raise
+        reject()
+    plan = PdeProblem(coeffs, grid, t_end=solver["window_tau"], dt=dt, snapshot_stride=1,
+                      laplacian=laplacian, allow_unstable=True, min_steps=16)
+    assert (plan.dt, plan.n_steps) == (solver["dt"], solver["n_steps"])
+    assert len(fits) == len(modes)
+    for j, (times, amps) in zip(modes, fits):
+        # the scan starts a stable mode on its slow branch, an unstable one
+        # on its growing branch
+        state, _, (_, omega_m) = plane_wave_state(grid, j, coeffs, "minus", laplacian)
+        if abs(omega_m.imag) > 1e-14:
+            state = plane_wave_state(grid, j, coeffs, "plus", laplacian)[0]
+        if not plan.unstable_modes.any():
+            result = evolve(plan, state)
+            want = mode_amplitudes(result.psi, j)
+            assert np.array_equal(times, result.times)
+            assert np.abs(amps - want).max() <= 1e-13 * np.abs(want).max()
+            continue
+        # The field run carries its growing modes' amplified round-off, so the
+        # probe is checked against the stage-by-stage reference of its mode
+        # (a_tt = 1: c = -2i, as in the uniform system, whose b is 2v).  Where
+        # the probe's own mode grows, round-off in the start reaches the size a
+        # unit start grows to: the bound is a share of that.
+        lam = grid.laplacian_eigenvalues(laplacian)[j % n]
+        b, _ = _mode_coefficients(coeffs, lam)
+        psi0, phi0 = mode_amplitudes(np.stack((state.psi.values, state.dpsi_dt.values)), j)
+        want, _, steps = reference_uniform(psi0, phi0, b / 2.0, plan.dt, plan.n_steps, 1)
+        assert np.array_equal(times, steps * plan.dt)
+        growth = max(1.0, *np.abs(rk4_factor(-1j * np.array(dispersion_branches(coeffs, lam))
+                                             * plan.dt)))
+        reach = max(abs(psi0), abs(phi0)) * growth ** plan.n_steps
+        assert np.abs(amps - want).max() <= 1e-12 * reach
 
 
 # ---------------------------------------------------------- regime compare
@@ -499,26 +532,28 @@ def test_pde_packet_allocates_within_its_count(tmp_path):
 
 
 def test_dispersion_scan_allocates_within_its_count(tmp_path):
-    # Each probe is a one-point run of its own mode, so the scan holds the
-    # plan's grid arrays and, one probe at a time, its run's rows and the
-    # fit's temporaries.  The last case is a 112,246-row probe, which the
-    # grid run's plan refused (1.15e9 B counted).
+    # The probes are one-point systems of their own modes, stepped side by
+    # side in one kernel run, so the scan holds the plan's grid arrays, the
+    # run's rows of every probe and one fit's temporaries.  The last case is
+    # a 112,246-row probe, which the grid run's plan refused (1.15e9 B
+    # counted).
     run_scenario("dispersion_scan", out_dir=tmp_path)  # imports numpy.fft
     needs = []
-    for horizon, k_values, n_steps in (
-            (1000.0, [2.0 * math.pi * j / 1024.0 for j in (3, 17, 40, 64, 77, 90, 111, 128)],
-             1021),
-            (8000.0, [2.0 * math.pi * j / 1024.0 for j in (17, 90)], 8164),
-            (110000.0, [0.1], 112245)):
+    for horizon, modes, n_steps in (
+            (1000.0, (3, 17, 40, 64, 77, 90, 111, 128), 1021),
+            (8000.0, (17, 90), 8164),
+            (8000.0, range(5, 128, 8), 8164),
+            (110000.0, None, 112245)):
+        k_values = [0.1] if modes is None else [2.0 * math.pi * j / 1024.0 for j in modes]
         params = resolve_config("dispersion_scan", {}, {
             "n": 256, "L": 1024.0, "laplacian": "stencil", "horizon_tau": horizon,
             "k_values": k_values})
         manifest, peak = peak_bytes("dispersion_scan", params, tmp_path)
         assert manifest["solver"]["n_steps"] == n_steps
-        need = scenarios._scan_bytes(run_bytes(256, 2, 2), n_steps + 1)
+        need = scenarios._scan_bytes(run_bytes(256, 2, 2), len(k_values), n_steps + 1)
         assert 0.5 * need < peak <= need
         needs.append(need)
-    # the one-point run's rows cost less than a ring of the grid's rows did
+    # two probes' rows cost less than a ring of the grid's rows did
     assert needs[1] < run_bytes(256, 8165, 2, kept=16)
 
 
@@ -923,6 +958,65 @@ def test_cli_dispersion_scan_blow_up_names_the_probed_mode(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: solution blew up at t_hat=600 "
                                        "(dominant content near k_hat=0.4909)\n")
     assert not (tmp_path / "manifest.json").exists()
+
+
+BLOW_UP_SCAN = ["--set", "r=0.1", "--set", "allow_unstable=true", "--set", "dt=2.5",
+                "--set", "horizon_tau=3000", "--set", "n=64", "--set", "L=64",
+                "--set", "laplacian=spectral"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k_values", ["[0.1,0.5]", "[0.5,0.1]"])
+def test_cli_dispersion_scan_blow_up_names_the_first_probe_to_blow_up(tmp_path, capsys,
+                                                                      k_values):
+    # the probes are stepped side by side, so the run stops at the first row
+    # where any is bad: the 0.1 probe's, at t_hat = 595, in either order
+    rc = main(["run", "dispersion_scan", "--out", str(tmp_path), *BLOW_UP_SCAN,
+               "--set", f"k_values={k_values}"])
+    assert rc == 3
+    assert capsys.readouterr().err == ("error: solution blew up at t_hat=595 "
+                                       "(dominant content near k_hat=0.09817)\n")
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_cli_dispersion_scan_refuses_a_later_entry_before_any_probe_runs(tmp_path, capsys,
+                                                                       monkeypatch):
+    # every entry is checked before the kernel run, so the last one's
+    # Nyquist refusal comes first, where the 0.5 probe alone blows up
+    calls = []
+    run_uniform = scenarios.kernels.run_uniform
+    monkeypatch.setattr(scenarios.kernels, "run_uniform",
+                        lambda *args: calls.append(args) or run_uniform(*args))
+    rc = main(["run", "dispersion_scan", "--out", str(tmp_path), *BLOW_UP_SCAN,
+               "--set", "k_values=[0.5,100]"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: k_values entry 100")
+    assert calls == []
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_dispersion_scan_splits_its_probes_between_runs_the_cap_holds(tmp_path,
+                                                                      monkeypatch):
+    # Under a cap that holds three probes' rows at once, the workload's eight
+    # probes are stepped in runs of 3, 3 and 2, and measure what one run does.
+    params = resolve_config("dispersion_scan", {}, {
+        "n": 256, "L": 1024.0, "laplacian": "stencil", "horizon_tau": 1000.0,
+        "k_values": [2.0 * math.pi * j / 1024.0 for j in (3, 17, 40, 64, 77, 90, 111, 128)]})
+    run_scenario("dispersion_scan", params, out_dir=tmp_path / "one")
+    base = scenarios._scan_bytes(run_bytes(256, 2, 2), 0, 1022)
+    one_probe = scenarios._scan_bytes(run_bytes(256, 2, 2), 1, 1022) - base
+    widths = []
+    run_uniform = scenarios.kernels.run_uniform
+    monkeypatch.setattr(scenarios.kernels, "run_uniform",
+                        lambda psi0, *args: widths.append(len(psi0)) or run_uniform(psi0, *args))
+    monkeypatch.setattr(scenarios.kernels, "MAX_SAMPLE_BYTES", base + 3 * one_probe + 1)
+    run_scenario("dispersion_scan", params, out_dir=tmp_path / "split")
+    assert widths == [3, 3, 2]
+    (_, one), (_, split) = (read_csv(tmp_path / d / "dispersion_scan_modes.csv")
+                            for d in ("one", "split"))
+    for a, b in zip(one, split):
+        assert a[:2] + a[4:] == b[:2] + b[4:]
+        assert float(b[2]) == pytest.approx(float(a[2]), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.filterwarnings("error")
