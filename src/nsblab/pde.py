@@ -410,18 +410,28 @@ def mode_amplitudes(psi_snapshots: np.ndarray, mode_index: int) -> np.ndarray:
     return psi_snapshots @ twiddles / n
 
 
-def fit_mode_frequency(times: np.ndarray, amplitudes: np.ndarray) -> float:
-    """Oscillation frequency from the slope of the unwrapped phase."""
-    phase = np.unwrap(np.angle(amplitudes))
-    return -float(np.polyfit(times, phase, 1)[0])
+def _slopes(times: np.ndarray, values: np.ndarray):
+    """Least-squares slope of each column of a (rows, K) stack ``values``, or a
+    float for 1-D ``values``, from pairwise sums along the column alone: it
+    reads the same in a stack of any width, where np.polyfit's lstsq rounds it
+    by the stack's width."""
+    t = times - times.mean()
+    y = np.ascontiguousarray(values.T)
+    slope = ((y - y.mean(axis=-1, keepdims=True)) * t).sum(axis=-1) / (t @ t)
+    return float(slope) if slope.ndim == 0 else slope
 
 
-def fit_mode_growth(times: np.ndarray, amplitudes: np.ndarray) -> float:
-    """Exponential growth rate from the slope of log |amplitude|."""
+def fit_mode_frequency(times: np.ndarray, amplitudes: np.ndarray):
+    """Oscillation frequency from the slope of the unwrapped phase, per column."""
+    return -_slopes(times, np.unwrap(np.angle(amplitudes), axis=0))
+
+
+def fit_mode_growth(times: np.ndarray, amplitudes: np.ndarray):
+    """Exponential growth rate from the slope of log |amplitude|, per column."""
     mags = np.abs(amplitudes)
     if np.any(mags <= 0.0):
         raise ValueError("amplitudes must be non-zero for a growth fit")
-    return float(np.polyfit(times, np.log(mags), 1)[0])
+    return _slopes(times, np.log(mags))
 
 
 def field_width(values: np.ndarray, grid: Grid,

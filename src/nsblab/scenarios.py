@@ -63,8 +63,7 @@ from .pde import (
     gaussian_packet,
     growth_horizon,
     growth_rates,
-    mode_amplitudes,
-    plane_wave_state,
+    mode_amplitudes,  # not called here; perfbench's tracer wraps it by this name
     schrodinger_consistent_state,
     stability_dt,  # not called here; perfbench's tracer wraps it by this name
     width_law,
@@ -467,20 +466,15 @@ def _refused(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-# Bytes a dispersion_scan run holds a stored row beyond its kernel run's
-# count: the times and one probe's fit phases and temporaries (np.unwrap,
-# np.polyfit).  Tracemalloc measured whole scans at 96 B a row against the
-# 105 counted (one probe, 112,246 rows), 130 against 155 (2 probes) and 660
-# against 716 (16 probes, 8,165 rows each).
-_FIT_ROW_BYTES = 40
+# Bytes the fits hold a probe's stored row (column copy, phases, temporaries)
+# beyond its kernel run's count: tracemalloc measured 47 to 60, 1 to 128 probes.
+_FIT_ROW_BYTES = 64
 
 
 def _scan_bytes(plan_bytes: int, probes: int, rows: int) -> int:
-    """Bytes a dispersion_scan run holds at once: its plan's count (the
-    grid's work arrays and its end rows), one kernel run of ``probes``
-    one-point systems of ``rows`` stored rows, and the fit's temporaries a
-    row."""
-    return plan_bytes + run_bytes(probes, rows, 2) + _FIT_ROW_BYTES * rows
+    """Bytes a dispersion_scan run holds at once: its plan's count, one kernel
+    run of ``probes`` one-point systems of ``rows`` stored rows, and its fits."""
+    return plan_bytes + run_bytes(probes, rows, 2) + _FIT_ROW_BYTES * probes * rows
 
 
 def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
@@ -502,71 +496,67 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     stored = sample_rows(plan.n_steps, 1)
     _refused(check_bytes, _scan_bytes(plan.n_bytes, 1, stored),
              f"{stored} stored rows a probe and their fit")
-    b, c = _mode_coefficients(coeffs, grid.laplacian_eigenvalues(lap_mode))
-    probes = []
-    for k_req in params["k_values"]:
-        mode = k_req * grid.length / (2.0 * math.pi)
-        if not abs(mode) <= grid.n // 2 + 0.5:
-            raise ConfigError(f"k_values entry {k_req!r} lies beyond the grid's "
-                              f"Nyquist wavenumber {math.pi / grid.dx:.6g}")
-        j = round(mode)
-        state, k_snap, (omega_p_d, omega_m_d) = plane_wave_state(
-            grid, j, coeffs, "minus", lap_mode)
-        omega_p_exact, omega_m_exact = dispersion_branches(coeffs, k_snap**2)
-        mode_stable = abs(omega_m_d.imag) <= 1e-14
-        rate = abs(omega_m_d) if mode_stable else abs(omega_p_d.imag)
-        if rate > 0.0 and rate * window < _MIN_PHASE_ADVANCE:
-            raise ConfigError(
-                f"k_hat={k_snap:.6g} advances {rate * window:.3g} rad over the "
-                f"{window:.6g}-long window, below the {_MIN_PHASE_ADVANCE:g} rad "
-                "a fit can measure; lengthen horizon_tau")
-        if k_snap == 0.0:
-            resolved = 1
-        else:
-            resolved = 1 if 2.0 * math.pi / (abs(k_snap) * grid.dx) >= 8.0 else 0
-        if not mode_stable:
-            if not params["allow_unstable"]:
-                raise ConfigError(
-                    f"requested k_hat={k_snap:.6g} lies above the critical "
-                    "wavenumber; set allow_unstable to probe growth")
-            state, _, _ = plane_wave_state(grid, j, coeffs, "plus", lap_mode)
-        # A probe starts on one branch of mode j alone, and the propagator is
-        # diagonal in k, so its run stays in that mode: a one-point system
-        # from the mode's coefficient over n, stepped by its (b_j, c).
-        probes.append((*mode_amplitudes(np.stack((state.psi.values, state.dpsi_dt.values)), j),
-                       b[j % grid.n], 2.0 * math.pi * j / grid.length, k_snap, resolved,
-                       omega_m_exact.real if mode_stable else None, omega_p_exact.imag))
-    # The probes share c, dt and the step count, so one kernel run steps as
-    # many side by side as the byte cap holds.
+    # Python floats: a product beyond the float range is inf, without a warning
+    modes = np.array([k * grid.length / (2.0 * math.pi) for k in params["k_values"]])
+    inside = np.abs(modes) <= grid.n // 2 + 0.5
+    js = np.rint(np.where(inside, modes, 0.0)).astype(int)
+    k_snap = 2.0 * np.pi * js / grid.length
+    lam = grid.laplacian_eigenvalues(lap_mode)[js % grid.n]
+    b, c = _mode_coefficients(coeffs, lam)
+    omega_p, omega_m = dispersion_branches(coeffs, lam)
+    # C pow, as the scalar k**2 was: squaring differs in one k in a thousand
+    exact_p, exact_m = dispersion_branches(coeffs, np.float_power(k_snap, 2))
+    stable = np.abs(omega_m.imag) <= 1e-14
+    rate = np.where(stable, np.abs(omega_m), np.abs(omega_p.imag))
+    slow = (rate > 0.0) & (rate * window < _MIN_PHASE_ADVANCE)
+    # Every entry is checked before any run, in order, each first against the
+    # Nyquist wavenumber, then the phase a fit can measure, then stability.
+    bad = ~inside | slow | ~(stable | params["allow_unstable"])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConfigError(
+            f"k_values entry {params['k_values'][i]!r} lies beyond the grid's Nyquist "
+            f"wavenumber {math.pi / grid.dx:.6g}" if not inside[i] else
+            f"k_hat={k_snap[i]:.6g} advances {rate[i] * window:.3g} rad over the "
+            f"{window:.6g}-long window, below the {_MIN_PHASE_ADVANCE:g} rad "
+            "a fit can measure; lengthen horizon_tau" if slow[i] else
+            f"requested k_hat={k_snap[i]:.6g} lies above the critical wavenumber; "
+            "set allow_unstable to probe growth")
+    with np.errstate(divide="ignore"):  # k_hat = 0 is resolved
+        resolved = (2.0 * math.pi / (np.abs(k_snap) * grid.dx) >= 8.0).astype(int)
+    # A probe is the plane wave of mode j on its slow branch, or its growing
+    # one if unstable: coefficients over n psi_hat = 1, phi_hat = -i omega.
+    # The propagator is diagonal in k, so it is a one-point system of (b_j, c).
+    phi0 = -1j * np.where(stable, omega_m, omega_p)
+    # The probes share c, dt and the step count, so a kernel run steps as many
+    # side by side as the byte cap holds, in runs that differ by at most one.
     base = _scan_bytes(plan.n_bytes, 0, stored)
     per = (kernels.MAX_SAMPLE_BYTES - base) // (_scan_bytes(plan.n_bytes, 1, stored) - base)
-    rows = []
-    for batch in (probes[i:i + per] for i in range(0, len(probes), per)):
-        psi0, phi0, b_batch = (np.array(x) for x in zip(*(p[:3] for p in batch)))
-        amps, phis, steps, blow = _refused(kernels.run_uniform, psi0, phi0, b_batch, c,
-                                           plan.dt, plan.n_steps)
+    count = len(js)
+    measured = np.full((2, count), np.nan)  # frequencies, growth rates
+    for batch in np.array_split(np.arange(count), -(-count // per)) if count else ():
+        amps, phis, steps, blow = _refused(kernels.run_uniform, np.ones_like(phi0[batch]),
+                                           phi0[batch], b[batch], c, plan.dt, plan.n_steps)
         if blow >= 0:  # name the first probe bad in the row the run stops at
-            bad = ~((np.abs(amps[blow]) < BLOWUP_MAGNITUDE)
-                    & (np.abs(phis[blow]) < BLOWUP_MAGNITUDE))
+            hit = ~(np.maximum(np.abs(amps[blow]), np.abs(phis[blow])) < BLOWUP_MAGNITUDE)
             raise BlowUpError(float(steps[blow]) * plan.dt, "" if blow == 0 else
-                              f"dominant content near k_hat={batch[np.argmax(bad)][3]:.4g}")
+                              f"dominant content near k_hat={k_snap[batch][np.argmax(hit)]:.4g}")
         times = steps * plan.dt
         del phis, steps  # the fits need only the times and the amplitudes
-        for (*_, k_snap, resolved, reference, growth), column in zip(batch, amps.T):
-            if reference is None:
-                rows.append((k_snap, math.nan, math.nan, math.nan, resolved, growth,
-                             fit_mode_growth(times, column)))
-                continue
-            measured = fit_mode_frequency(times, column)
-            rel = abs(measured - reference) / (abs(reference) if reference != 0.0 else 1.0)
-            rows.append((k_snap, reference, measured, rel, resolved, math.nan, math.nan))
+        for row, fit, columns in ((0, fit_mode_frequency, stable[batch]),
+                                  (1, fit_mode_growth, ~stable[batch])):
+            if columns.any():
+                measured[row, batch[columns]] = fit(times, amps[:, columns])
         del amps, times  # freed before the next run
+    reference = np.where(stable, exact_m.real, np.nan)
+    rel = np.abs(measured[0] - reference) / np.where(reference != 0.0, np.abs(reference), 1.0)
     outputs = [OutputFile(
         name="dispersion_scan_modes.csv",
         header=["k_hat", "omega_minus_analytic", "omega_minus_measured",
                 "rel_err", "resolved", "growth_rate_analytic",
                 "growth_rate_measured"],
-        columns=list(zip(*rows)),
+        columns=[k_snap, reference, measured[0], rel, resolved,
+                 np.where(stable, np.nan, exact_p.imag), measured[1]],
     )]
     solver = {"dt": plan.dt, "n_steps": plan.n_steps, "window_tau": window,
               "window_capped": capped, "max_growth_rate_on_grid": s_max,

@@ -420,6 +420,30 @@ def test_growth_above_critical_matches_plus_branch():
     assert rate == pytest.approx(math.sqrt(1.2**2 - 1.0), rel=0.02)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=st.integers(2, 600), width=st.integers(1, 8), dt=st.floats(1e-3, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_fits_of_a_stack_equal_its_columns_fitted_alone(rows, width, dt, seed):
+    # a (rows, K) stack gives K slopes, each its column's alone, and each the
+    # least-squares line's slope as np.polyfit finds it
+    rng = np.random.default_rng(seed)
+    times = np.arange(rows) * dt
+    exponents = rng.uniform(-0.1, 0.1, width) - 1j * rng.uniform(-3.0, 3.0, width)
+    amps = (np.exp(exponents * times[:, None])
+            * (1.0 + 1e-3 * rng.standard_normal((rows, width))))
+    for fit, values in ((fit_mode_frequency, lambda a: -np.unwrap(np.angle(a))),
+                        (fit_mode_growth, lambda a: np.log(np.abs(a)))):
+        stack = fit(times, amps)
+        assert stack.shape == (width,)
+        for column, slope in zip(amps.T, stack):
+            alone = fit(times, column)
+            assert type(alone) is float
+            assert abs(slope - alone) <= 1e-14 * abs(alone)
+            y = values(column)
+            scale = np.ptp(y) / times[-1] + abs(alone)
+            assert abs(alone - np.polyfit(times, y, 1)[0]) <= 1e-12 * scale
+
+
 def test_schrodinger_limit_deviation_scales_linearly():
     # scaling the second-time-derivative coefficient by eps pulls the
     # solution toward the first-order run proportionally to eps

@@ -389,19 +389,25 @@ def test_dispersion_scan_rejects_overcritical_potential(tmp_path):
 
 
 def scan_fits(params):
-    """The scan's solver entry and the (times, amplitudes) each of its fits
-    is handed, in k_values order; the fits themselves return 1."""
+    """The scan's solver entry and the (times, amplitudes) its fits are handed
+    for each probe, in k_values order.  The fits take a column per probe; the
+    spy records each column and returns its record's index as the measured
+    value, so the CSV's measured columns place every record."""
     fits = []
 
     def spy(times, amps):
-        fits.append((times.copy(), amps.copy()))
-        return 1.0
+        first = len(fits)
+        fits.extend((times.copy(), column.copy()) for column in amps.T)
+        return np.arange(first, len(fits), dtype=float)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scenarios, "fit_mode_frequency", spy)
         patch.setattr(scenarios, "fit_mode_growth", spy)
-        _, solver = scenarios._run_dispersion_scan(params)
-    return solver, fits
+        (output,), solver = scenarios._run_dispersion_scan(params)
+    frequency, growth = output.columns[2], output.columns[6]
+    records = np.where(np.isnan(frequency), growth, frequency).astype(int)
+    assert sorted(records) == list(range(len(fits)))
+    return solver, [fits[i] for i in records]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -534,7 +540,7 @@ def test_pde_packet_allocates_within_its_count(tmp_path):
 def test_dispersion_scan_allocates_within_its_count(tmp_path):
     # The probes are one-point systems of their own modes, stepped side by
     # side in one kernel run, so the scan holds the plan's grid arrays, the
-    # run's rows of every probe and one fit's temporaries.  The last case is
+    # run's rows of every probe and the batched fits' temporaries.  The last case is
     # a 112,246-row probe, which the grid run's plan refused (1.15e9 B
     # counted).
     run_scenario("dispersion_scan", out_dir=tmp_path)  # imports numpy.fft
@@ -1017,6 +1023,78 @@ def test_dispersion_scan_splits_its_probes_between_runs_the_cap_holds(tmp_path,
     for a, b in zip(one, split):
         assert a[:2] + a[4:] == b[:2] + b[4:]
         assert float(b[2]) == pytest.approx(float(a[2]), rel=1e-12, abs=0.0)
+
+
+def test_dispersion_scan_splits_nine_probes_into_equal_runs(tmp_path, monkeypatch):
+    # Under a cap that holds four probes, nine are stepped in runs of 3, 3 and
+    # 3, none of one probe alone, and print the unsplit scan's CSV byte for byte.
+    params = resolve_config("dispersion_scan", {}, {
+        "n": 256, "L": 1024.0, "laplacian": "stencil", "horizon_tau": 1000.0,
+        "k_values": [2.0 * math.pi * j / 1024.0
+                     for j in (3, 17, 40, 64, 77, 90, 111, 120, 128)]})
+    run_scenario("dispersion_scan", params, out_dir=tmp_path / "one")
+    base = scenarios._scan_bytes(run_bytes(256, 2, 2), 0, 1022)
+    one_probe = scenarios._scan_bytes(run_bytes(256, 2, 2), 1, 1022) - base
+    widths = []
+    run_uniform = scenarios.kernels.run_uniform
+    monkeypatch.setattr(scenarios.kernels, "run_uniform",
+                        lambda psi0, *args: widths.append(len(psi0)) or run_uniform(psi0, *args))
+    monkeypatch.setattr(scenarios.kernels, "MAX_SAMPLE_BYTES", base + 4 * one_probe)
+    run_scenario("dispersion_scan", params, out_dir=tmp_path / "split")
+    assert widths == [3, 3, 3]
+    one, split = ((tmp_path / d / "dispersion_scan_modes.csv").read_bytes()
+                  for d in ("one", "split"))
+    assert one == split
+
+
+@pytest.mark.filterwarnings("error")
+def test_dispersion_scan_mixes_frequency_and_growth_probes(tmp_path):
+    # At r = 4, k = 0.1 is stable and k = 1 grows: one run holds both, and its
+    # frequency and growth fits each take their own column.
+    rows = {}
+    for k_values in ([0.1, 1.0], [1.0, 0.1], [0.1], [1.0]):
+        out = tmp_path / "-".join(map(str, k_values))
+        run_scenario("dispersion_scan", {"r": 4.0, "allow_unstable": True,
+                                         "horizon_tau": 20.0, "k_values": k_values},
+                     out_dir=out)
+        rows[tuple(k_values)] = read_csv(out / "dispersion_scan_modes.csv")[1]
+    frequency, growth = rows[(0.1, 1.0)]
+    assert frequency[2] != "nan" and frequency[5:] == ["nan", "nan"]
+    assert growth[1:4] == ["nan"] * 3 and growth[6] != "nan"
+    assert rows[(1.0, 0.1)] == [growth, frequency]
+    # a probe alone is a one-point run, which numpy rounds by another loop
+    for row, (alone,) in ((frequency, rows[(0.1,)]), (growth, rows[(1.0,)])):
+        assert row[:2] + row[4:6] == alone[:2] + alone[4:6]
+        for col in (2, 6):
+            if row[col] != "nan":
+                assert float(row[col]) == pytest.approx(float(alone[col]), rel=1e-12)
+
+
+# (k_values, message): each pair of entries the scan refuses, in both
+# orders, over a 1e-7-long window; these are the messages a scan that set
+# up and checked its probes one at a time gave
+REFUSED_PAIRS = [
+    ([100.0, 0.0625], "k_values entry 100.0 lies beyond the grid's Nyquist wavenumber 8"),
+    ([100.0, 1.25], "k_values entry 100.0 lies beyond the grid's Nyquist wavenumber 8"),
+    ([0.0625, 100.0], "k_hat=0.0625 advances 1.96e-10 rad over the 1e-07-long window, "
+                      "below the 1e-09 rad a fit can measure; lengthen horizon_tau"),
+    ([0.0625, 1.25], "k_hat=0.0625 advances 1.96e-10 rad over the 1e-07-long window, "
+                     "below the 1e-09 rad a fit can measure; lengthen horizon_tau"),
+    ([1.25, 100.0], "requested k_hat=1.25 lies above the critical wavenumber; "
+                    "set allow_unstable to probe growth"),
+    ([1.25, 0.0625], "requested k_hat=1.25 lies above the critical wavenumber; "
+                     "set allow_unstable to probe growth"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k_values, message", REFUSED_PAIRS)
+def test_dispersion_scan_refuses_the_first_bad_entry_by_its_first_check(tmp_path, k_values,
+                                                                         message):
+    with pytest.raises(ConfigError) as refused:
+        run_scenario("dispersion_scan", {"k_values": k_values, "horizon_tau": 1e-7},
+                     out_dir=tmp_path)
+    assert str(refused.value) == message
 
 
 @pytest.mark.filterwarnings("error")
