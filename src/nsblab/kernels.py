@@ -22,23 +22,28 @@ first-order limit it is one row (Moler & Van Loan, SIAM Rev. 45 (2003) 3).
 
 Stored samples are advanced a block at a time: rows [f, f + m) of the
 spectra are rows [f - m, f) advanced by m strides, y + (R^(m s) - I) y.
-The block size m doubles from 1 up to ``BLOCK_ROWS`` and then stays there,
-so no temporary exceeds one capped block.  It doubles only while
-R^(m s) - I stays finite: an overflowing power would turn rows that are
-still finite into infinities and report the blow-up early.
+The block size m doubles from 1 up to the grid's cap, :func:`block_rows`,
+and then stays there, so no temporary exceeds one capped block.  The cap
+is ``BLOCK_ROWS`` rows, cut to ``BLOCK_VALUES`` grid values and at least
+one row: grids of 256 points or fewer take 64 rows, a 2048-point grid 8.
+It doubles only while R^(m s) - I stays finite: an overflowing power would
+turn rows that are still finite into infinities and report the blow-up
+early.
 
 Samples are stored every ``stride`` steps, plus the initial and final
 states, in a ring of slots: row i in slot i mod its length.  A materialised
-run's ring holds every row; a reduced run's holds ``RING_ROWS``, and its
-rows pass through a ``reduce`` callable, which keeps what the caller needs
-of them.  When a block would overwrite a row not yet read out, every row
-below the block's source rows is read out: psi is transformed back to grid
-values in place, the row is scanned for blow-up, and a reduced run hands
-it to ``reduce``.  A materialised run therefore reads out once, at the
-end, and a reduced run about once per ring's length, up to its first bad
-row.  The first stored sample whose magnitude is non-finite or at or above
-``BLOWUP_MAGNITUDE`` ends the returned arrays; the caller turns that into
-a blow-up error.  The second-order system's derivative rows are returned
+run's ring holds every row.  A reduced run's holds :func:`ring_rows`,
+``RING_BLOCKS`` capped blocks, so its size is set in grid values, not
+rows: 4 x 2**14 values of each component on grids of 256 to 2**14 points,
+fewer below, four rows above.  Its rows pass through a ``reduce``
+callable, which keeps what the caller needs of them.  When a block would
+overwrite a row not yet read out, every row below the block's source rows
+is read out: psi is transformed back to grid values in place, the row is
+scanned for blow-up, and a reduced run hands it to ``reduce``.  A
+materialised run therefore reads out once, at the end, and a reduced run
+about once per ring's length, up to its first bad row.  The first stored
+sample whose magnitude is non-finite or at or above ``BLOWUP_MAGNITUDE``
+ends the returned arrays; the caller turns that into a blow-up error.  The second-order system's derivative rows are returned
 as spectra, for the reader to transform.  In the first-order limit only psi
 is stored: its derivative, rate * psi mode by mode, is made on demand by
 :func:`first_order_derivative`.  Either derivative counts towards the
@@ -87,14 +92,30 @@ def whole_steps(horizon: float, dt: float) -> tuple[int, bool]:
 # 256-point second-order run; 16 and 128 were slower.
 BLOCK_ROWS = 64
 
-# Slots of a reduced run's ring of rows.  A block and its source rows need
+# Cap on the grid values of one block: 256 KiB of complex128 a component.
+# Grids of 256 points or fewer keep BLOCK_ROWS rows.
+BLOCK_VALUES = 2**14
+
+# Blocks in a reduced run's ring of rows.  A block and its source rows need
 # two blocks.  Each read-out costs an inverse FFT, a blow-up scan and a
 # ``reduce`` call, so a longer ring reads out fewer, longer runs of rows but
 # holds more of the grid.  On a 256-point second-order run of 1,022 rows,
-# 256 to 512 slots stepped as fast as a materialised run and 128 (15
-# read-outs, against 7 at 256) 4 % slower; a scan's peak RSS grew by about
-# 1.2 MiB per 128 slots.
-RING_ROWS = 4 * BLOCK_ROWS
+# rings of 4 to 8 blocks stepped as fast as a materialised run and 2 blocks
+# (15 read-outs, against 7 at 4) 4 % slower; a scan's peak RSS grew by about
+# 1.2 MiB per 2 blocks.
+RING_BLOCKS = 4
+
+
+def block_rows(points: int) -> int:
+    """Rows of one capped block on a grid of ``points``: ``BLOCK_ROWS``, cut
+    to ``BLOCK_VALUES`` grid values, at least 1."""
+    return max(1, min(BLOCK_ROWS, BLOCK_VALUES // points))
+
+
+def ring_rows(points: int) -> int:
+    """Slots of a reduced run's ring on a grid of ``points``."""
+    return RING_BLOCKS * block_rows(points)
+
 
 # Cap on the bytes of arrays one run may ask for, as :func:`run_bytes`
 # counts them.  A run above it is refused before anything is allocated.
@@ -138,8 +159,8 @@ def run_bytes(points: int, rows: int, order: int, kept=None) -> int:
     """Bytes of every array a run of ``order`` (1 or 2) allocates on
     ``points`` grid points while storing ``rows`` samples, times included.
     With ``kept``, the bytes ``reduce`` keeps of a row, the run is reduced:
-    it holds at most ``RING_ROWS`` rows of the grid at once."""
-    held = rows if kept is None else min(rows, RING_ROWS)
+    it holds at most :func:`ring_rows` rows of the grid at once."""
+    held = rows if kept is None else min(rows, ring_rows(points))
     return (held * _POINT_ROW_BYTES[order] * points
             + rows * (_ROW_BYTES + 2 * (kept or 0)) + _WORK_BYTES[order] * points)
 
@@ -214,7 +235,7 @@ def _propagate(b, c, ring, dt: float, n_steps: int, stride: int, free) -> None:
     slots = ring.shape[1]
     step = _step_update(b, c, dt, len(ring))
     rows = n_steps // stride + 1
-    e, f, m, cap = _rows(_power(step, stride, b, c), b, c), 1, 1, BLOCK_ROWS
+    e, f, m, cap = _rows(_power(step, stride, b, c), b, c), 1, 1, block_rows(len(b))
     while f < rows:
         count = min(m, rows - f)
         if not free(f - m, f + count):
@@ -308,8 +329,8 @@ def _run_field(b, c, initial, dt, n_steps, stride, reduce=None, transform=True):
     spectra when d = 2 (a one-point grid's spectrum is its value), the
     stored step indices and the blow-up slot, every array cut after it.
 
-    The ring holds every row of a materialised run, and ``RING_ROWS`` of a
-    reduced one, whose rows are read out as the module docstring says.  A
+    The ring holds every row of a materialised run, and :func:`ring_rows` of
+    a reduced one, whose rows are read out as the module docstring says.  A
     reduced run checks its count again once the first ``reduce`` output
     shows what a row keeps, and it returns the outputs, joined along their
     first axis, for psi and None for the derivative.  Without
@@ -321,7 +342,7 @@ def _run_field(b, c, initial, dt, n_steps, stride, reduce=None, transform=True):
     what = f"{n_steps} steps stored every {stride} on {points} point(s)"
     check_bytes(run_bytes(points, rows, d, None if reduce is None else 0), what)
     steps = sample_steps(n_steps, stride)
-    slots = rows if reduce is None else min(rows, RING_ROWS)
+    slots = rows if reduce is None else min(rows, ring_rows(points))
     ring = np.empty((d, slots, points), dtype=np.complex128)
     if transform:
         np.fft.fft(initial, axis=-1, out=ring[:, 0])

@@ -193,10 +193,14 @@ class PdeProblem:
     ``dt`` is the largest step allowed (None: the stability rule at
     ``safety``); the run takes the fewest whole steps, at least
     ``min_steps``, that reach ``t_end``.  ``snapshot_stride`` is an int, a
-    function of the step count, or None for about 512 snapshots.  Refused
-    with ValueError: a dt above the stability bound, v >= 1/2 and round-off
-    growth beyond ``_ROGUE_BUDGET`` e-folds, unless ``allow_unstable`` is
-    set; and always arrays (:func:`kernels.run_bytes`) above the byte cap.
+    function of the step count, or None for about 512 snapshots.  ``kept``
+    is None for a materialised run, or the bytes of a row that the run's
+    ``reduce`` keeps (see :func:`evolve`): ``n_bytes`` counts the run the
+    plan will make, :func:`kernels.run_bytes` of every stored row or of a
+    reduced run's ring.  Refused with ValueError: a dt above the stability
+    bound, v >= 1/2 and round-off growth beyond ``_ROGUE_BUDGET`` e-folds,
+    unless ``allow_unstable`` is set; and always ``n_bytes`` above the byte
+    cap.
     """
 
     coeffs: CanonicalCoefficients
@@ -208,6 +212,7 @@ class PdeProblem:
     safety: float = 0.7
     allow_unstable: bool = False
     min_steps: int = 1
+    kept: Optional[int] = None
     n_steps: int = field(init=False)
     n_bytes: int = field(init=False)
     unstable_modes: np.ndarray = field(init=False, repr=False)
@@ -242,8 +247,10 @@ class PdeProblem:
         if callable(stride):
             stride = stride(n_steps)
         rows = kernels.sample_rows(n_steps, stride)  # refuses a stride below 1
-        need = kernels.check_bytes(kernels.run_bytes(self.grid.n, rows, order),
-                                   f"{rows} stored rows of {self.grid.n} points")
+        need = kernels.check_bytes(
+            kernels.run_bytes(self.grid.n, rows, order, self.kept),
+            f"{rows} stored rows of {self.grid.n} points"
+            + ("" if self.kept is None else ", reduced"))
         resolved = {"dt": dt, "n_steps": n_steps, "snapshot_stride": stride,
                     "n_bytes": need, "unstable_modes": rates > 1e-14}
         for name, value in resolved.items():
@@ -277,7 +284,12 @@ def evolve(problem: PdeProblem, initial: FieldState, reduce=None) -> EvolutionRe
     With ``reduce``, which maps a stack of psi rows (rows x points) to one
     entry per row, the run is reduced as it is stepped: the record's ``psi``
     holds ``reduce``'s outputs, one entry per stored row, and it keeps no
-    derivative.  Only a few blocks of rows are held at once.
+    derivative.  ``reduce`` is handed the rows in time order, up to and
+    including a blow-up's row, as views of a ring of
+    :func:`kernels.ring_rows` slots that later rows reuse; whatever it
+    raises ends the run.  A plan made with ``kept``, the bytes ``reduce``
+    keeps a row, has counted this run; the kernel checks the count again
+    once the first outputs show what a row keeps.
     """
     grid = problem.grid
     if initial.grid != grid:
@@ -341,8 +353,11 @@ def spectral_filter(state: FieldState, k_cut: float) -> FieldState:
 # --------------------------------------------------------------------------
 
 
-def _wrapped_offsets(grid: Grid, center: float) -> np.ndarray:
-    # Minimum-image distance to the centre on the periodic domain.
+def wrapped_offsets(grid: Grid, center: Optional[float] = None) -> np.ndarray:
+    """Minimum-image offset of each point from ``center`` (default: domain
+    middle) on the periodic domain."""
+    if center is None:
+        center = 0.5 * grid.length
     d = grid.xi() - center
     return (d + 0.5 * grid.length) % grid.length - 0.5 * grid.length
 
@@ -351,9 +366,7 @@ def gaussian_packet(grid: Grid, sigma0: float, center: Optional[float] = None) -
     """Normalised Gaussian packet: |psi|^2 has standard deviation sigma0."""
     if not math.isfinite(sigma0) or sigma0 <= 0.0:
         raise ValueError("sigma0 must be positive and finite")
-    if center is None:
-        center = 0.5 * grid.length
-    d = _wrapped_offsets(grid, center)
+    d = wrapped_offsets(grid, center)
     psi = (2.0 * np.pi * sigma0**2) ** (-0.25) * np.exp(-(d * d) / (4.0 * sigma0**2))
     return ComplexField(psi.astype(np.complex128), grid)
 
@@ -434,26 +447,27 @@ def fit_mode_growth(times: np.ndarray, amplitudes: np.ndarray):
     return _slopes(times, np.log(mags))
 
 
-def field_width(values: np.ndarray, grid: Grid,
-                center: Optional[float] = None) -> ArrayLike:
+def field_width(values: np.ndarray, grid: Grid, center: Optional[float] = None,
+                offsets: Optional[np.ndarray] = None) -> ArrayLike:
     """Root-mean-square width of |psi|^2 about ``center`` (default: domain
     middle): a float for one field, an array for a stack of rows (samples x
-    points), reduced ``kernels.BLOCK_ROWS`` rows at a time."""
-    if center is None:
-        center = 0.5 * grid.length
+    points), reduced a block of :func:`kernels.block_rows` rows at a time.
+    ``offsets``, the :func:`wrapped_offsets` about ``center``, spares a
+    caller that measures many stacks remaking them."""
     values = np.asarray(values)
     rows = values.reshape(-1, grid.n)
-    d = _wrapped_offsets(grid, center)
+    d = wrapped_offsets(grid, center) if offsets is None else offsets
     widths = np.empty(rows.shape[0])
-    for a in range(0, rows.shape[0], kernels.BLOCK_ROWS):
-        w = np.abs(rows[a:a + kernels.BLOCK_ROWS])
+    block = kernels.block_rows(grid.n)
+    for a in range(0, rows.shape[0], block):
+        w = np.abs(rows[a:a + block])
         w *= w
         total = w.sum(axis=-1)
         if (total <= 0.0).any():
             raise ValueError("field has no mass")
         w *= d  # in this order: w * (d * d) can differ in the last bit
         w *= d
-        widths[a:a + kernels.BLOCK_ROWS] = np.sqrt(w.sum(axis=-1) / total)
+        widths[a:a + block] = np.sqrt(w.sum(axis=-1) / total)
     return float(widths[0]) if values.ndim == 1 else widths
 
 

@@ -42,7 +42,6 @@ from .integrator import (
     integrate_uniform,
 )
 from .kernels import (
-    BLOCK_ROWS,
     BLOWUP_MAGNITUDE,
     MAX_SAMPLE_BYTES,
     check_bytes,
@@ -67,6 +66,7 @@ from .pde import (
     schrodinger_consistent_state,
     stability_dt,  # not called here; perfbench's tracer wraps it by this name
     width_law,
+    wrapped_offsets,
 )
 
 
@@ -565,9 +565,11 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
 
 
 def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| over two stacks of rows, a block of rows at a time."""
-    return float(max(np.abs(a[i:i + BLOCK_ROWS] - b[i:i + BLOCK_ROWS]).max()
-                     for i in range(0, len(a), BLOCK_ROWS)))
+    """max |a - b| over two stacks of rows, a block of
+    :func:`kernels.block_rows` rows at a time."""
+    block = kernels.block_rows(a.shape[1])
+    return float(max(np.abs(a[i:i + block] - b[i:i + block]).max()
+                     for i in range(0, len(a), block)))
 
 
 def _regime_plans(params: dict, grid: Grid, r: float) -> tuple[PdeProblem, PdeProblem]:
@@ -646,11 +648,15 @@ def _run_convergence(params: dict) -> tuple[list[OutputFile], dict]:
 
 _PACKET_HEADER = ["t_hat", "width_measured", "width_analytic", "rel_err"]
 
+# Bytes a pde_packet run keeps of a stored row as it is stepped: its width.
+_WIDTH_BYTES = 8
+
 
 def _packet_bytes(plan_bytes: int, rows: int) -> int:
-    """Bytes a pde_packet run holds at once: its plan's count, 32 B a stored
-    row for the four width columns, and the writer's chunk."""
-    return plan_bytes + 32 * rows + _CHUNK_ROWS * _CHUNK_VALUE_BYTES * len(_PACKET_HEADER)
+    """Bytes a pde_packet run holds at once: its plan's count of the reduced
+    run, whose times and widths are two of the four width columns, 16 B a
+    stored row for the other two, and the writer's chunk."""
+    return plan_bytes + 16 * rows + _CHUNK_ROWS * _CHUNK_VALUE_BYTES * len(_PACKET_HEADER)
 
 
 def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
@@ -675,22 +681,37 @@ def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
     plan = _refused(PdeProblem, coeffs, grid, t_end=horizon, dt=params["dt"],
                     snapshot_stride=lambda n_steps: max(1, n_steps // params["samples"]),
                     laplacian=lap_mode, safety=params["safety"],
-                    allow_unstable=params["allow_unstable"])
+                    allow_unstable=params["allow_unstable"], kept=_WIDTH_BYTES)
     psi0 = gaussian_packet(grid, sigma0)
     initial = schrodinger_consistent_state(psi0, coeffs, lap_mode)
     rows = sample_rows(plan.n_steps, plan.snapshot_stride)
     _refused(check_bytes, _packet_bytes(plan.n_bytes, rows),
              f"{rows} stored rows of {grid.n} points and their widths")
-    result = _refused(evolve, plan, initial)
-    try:
-        measured = field_width(result.psi, grid)
-    except ValueError:  # a row with no mass: RK4's damping can underflow it
-        mass = np.abs(result.psi)
-        mass *= mass
-        empty = np.flatnonzero(mass.sum(axis=1) == 0.0)
-        if not empty.size:
-            raise
-        raise UnderflowError(float(result.times[empty[0]])) from None
+    offsets = wrapped_offsets(grid)
+    seen, last = 0, None
+
+    def widths(block: np.ndarray) -> np.ndarray:
+        """The widths of the next rows, handed in time order; a copy of the
+        last row is kept for the profile."""
+        nonlocal seen, last
+        try:
+            out = field_width(block, grid, offsets=offsets)
+        except ValueError:  # a row with no mass: RK4's damping can underflow it
+            mass = np.abs(block)
+            mass *= mass
+            empty = np.flatnonzero(mass.sum(axis=1) == 0.0)
+            if not empty.size:
+                raise
+            # raised here, as a runtime error: the run is not a refused input
+            step = min((seen + int(empty[0])) * plan.snapshot_stride, plan.n_steps)
+            raise UnderflowError(float(step) * plan.dt) from None
+        seen += len(block)
+        if seen == rows:
+            last = block[-1].copy()
+        return out
+
+    result = _refused(evolve, plan, initial, reduce=widths)
+    measured = result.psi
     if form == "schrodinger" and v == 0.0:
         expected = width_law(sigma0, r, result.times)
         rel = np.abs(measured - expected) / expected
@@ -701,7 +722,7 @@ def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
                    [result.times, measured, expected, rel]),
         OutputFile("pde_packet_profile.csv",
                    ["xi_hat", "re_psi", "im_psi", "abs_psi"],
-                   [grid.xi(), *_parts(result.psi[-1].copy())]),
+                   [grid.xi(), *_parts(last)]),
     ]
     solver = {"form": form, "dt": plan.dt, "n_steps": plan.n_steps,
               "snapshot_stride": plan.snapshot_stride, "horizon_tau": horizon,

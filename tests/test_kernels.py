@@ -435,7 +435,7 @@ def test_batched_uniform_run_matches_its_one_point_runs(k, data, dt_scale, n_ste
 @example("second", 32, 1.0, 1.0, 0.0, 1, 700, False, 1.0, 0)
 def test_reduced_run_equals_the_materialised_run(order, n, dx, r, v, stride, n_steps,
                                                   whole_strides, dt_scale, seed):
-    # Rows are read out of a ring of kernels.RING_ROWS slots as the run goes;
+    # Rows are read out of a ring of kernels.ring_rows(n) slots as the run goes;
     # up to 701 rows wrap it twice.  Up to twice the stability bound, the
     # doubling cap and the blow-up slot fall anywhere.
     if whole_strides:
@@ -470,7 +470,7 @@ def test_reduced_run_counts_what_reduce_keeps():
     rate, _ = mode_coefficients(A_XX, 0.0, V, N, DX, "stencil")
     psi, _ = random_state(N, 8)
     need = kernels.run_bytes(N, 1001, 1, kept=16)
-    assert need == kernels.RING_ROWS * 24 * N + 1001 * (24 + 32) + 120 * N
+    assert need == kernels.ring_rows(N) * 24 * N + 1001 * (24 + 32) + 120 * N
     psis, steps, blow = kernels.run_field_first_order(
         psi, rate, 0.01, 1000, reduce=lambda rows: rows[:, 0].copy())
     assert blow == -1 and psis.shape == steps.shape == (1001,)

@@ -531,9 +531,9 @@ def test_blow_up_reports_time_and_mode():
             evolve(prob, state)
         assert info.value.time > 0.0
         assert "k_hat" in info.value.detail
-        # a reduced run reads rows from RING_ROWS - BLOCK_ROWS on only once
+        # a reduced run reads rows from ring_rows - block_rows on only once
         # the ring has wrapped, and reports the same
-        assert info.value.time / dt >= kernels.RING_ROWS - kernels.BLOCK_ROWS
+        assert info.value.time / dt >= kernels.ring_rows(g.n) - kernels.block_rows(g.n)
         with pytest.raises(BlowUpError) as reduced:
             evolve(prob, state, reduce=lambda rows: rows[:, 0].copy())
         assert str(reduced.value) == str(info.value)
@@ -549,7 +549,7 @@ def test_reduced_evolution_keeps_what_reduce_returns(a_tt):
                       laplacian="spectral")
     whole = evolve(prob, state)
     reduced = evolve(prob, state, reduce=lambda rows: rows.copy())
-    assert len(whole.times) > kernels.RING_ROWS
+    assert len(whole.times) > kernels.ring_rows(g.n)
     assert np.array_equal(reduced.times, whole.times)
     assert np.array_equal(reduced.psi, whole.psi)
     with pytest.raises(ValueError, match="reduced"):
@@ -704,7 +704,7 @@ def per_row_width(row, grid, center):
        seed=st.integers(0, 2**32 - 1))
 def test_field_width_of_a_stack_equals_each_row_bit_for_bit(n, rows, center, scale,
                                                             seed):
-    # rows reach past one block of kernels.BLOCK_ROWS and end in a partial one
+    # rows reach past one block of kernels.block_rows(n) and end in a partial one
     grid = Grid(n, 37.0)
     rng = np.random.default_rng(seed)
     stack = scale * (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from nsblab import scenarios
+from nsblab import kernels, scenarios
 from nsblab.analytic import (EquationForm, EquationParameters, dispersion_branches,
                              reduce_equation)
 from nsblab.cli import main
 from nsblab.constants import PhysicalConstants
+from nsblab.integrator import BlowUpError
 from nsblab.kernels import MAX_SAMPLE_BYTES, run_bytes
-from nsblab.pde import (Grid, PdeProblem, _mode_coefficients, evolve, mode_amplitudes,
-                        plane_wave_state, stability_dt)
+from nsblab.pde import (Grid, PdeProblem, _mode_coefficients, evolve, field_width,
+                        mode_amplitudes, plane_wave_state, stability_dt)
 from nsblab.scenarios import (
     SCENARIO_KEYS,
     ConfigError,
@@ -526,14 +527,16 @@ def peak_bytes(scenario, params, out_dir):
 
 
 def test_pde_packet_allocates_within_its_count(tmp_path):
-    # 200,001 snapshots of 8 points: the width columns, which the count adds
-    # to the plan's, are most of what a small grid holds beside the kernel
+    # 200,001 snapshots of 8 points, stepped as a reduced run: the width
+    # columns, which the run and the count keep a row, are most of what a
+    # small grid holds beside the ring of rows
     params = {"n": 8, "L": 80.0, "sigma0": 20.0, "horizon_tau": 20000.0,
               "dt": 0.1, "samples": 200000}
     manifest, peak = peak_bytes("pde_packet", params, tmp_path)
     rows = manifest["outputs"][0]["rows"]
     assert rows == 200001
-    need = scenarios._packet_bytes(run_bytes(8, rows, 1), rows)
+    need = scenarios._packet_bytes(run_bytes(8, rows, 1, kept=scenarios._WIDTH_BYTES),
+                                   rows)
     assert 0.5 * need < peak <= need
 
 
@@ -666,25 +669,32 @@ def test_manifest_contents(tmp_path):
 
 
 def test_packet_profile_keeps_no_snapshot_alive(tmp_path, monkeypatch):
-    # the profile is written from a copy of the last row, so the snapshot
-    # stack can be freed while the CSVs are written
-    results, written = [], {}
+    # the run is reduced: its record keeps one width a row, the profile is
+    # written from a copy of the last row, and the ring of rows the run was
+    # stepped in is freed before the CSVs are written
+    runs, rings, written = [], [], {}
     real_evolve, real_write_csv = scenarios.evolve, scenarios.write_csv
 
-    def keep_result(plan, initial):
-        results.append(real_evolve(plan, initial))
-        return results[-1]
+    def keep_result(plan, initial, reduce=None):
+        def watched(rows):
+            rings.append(weakref.ref(rows.base))
+            return reduce(rows)
+
+        runs.append((plan, initial, real_evolve(plan, initial, reduce=watched)))
+        return runs[-1][2]
 
     def keep_columns(path, header, columns):
+        assert rings and all(ring() is None for ring in rings)
         written[Path(path).name] = columns
         return real_write_csv(path, header, columns)
 
     monkeypatch.setattr(scenarios, "evolve", keep_result)
     monkeypatch.setattr(scenarios, "write_csv", keep_columns)
     run_scenario("pde_packet", {"horizon_tau": 1.0}, out_dir=tmp_path)
-    (result,) = results
+    ((plan, initial, result),) = runs
+    assert result.psi.shape == result.times.shape  # one width a stored row
     profile = written["pde_packet_profile.csv"]
-    assert np.array_equal(profile[1], result.psi[-1].real)
+    assert np.array_equal(profile[1], real_evolve(plan, initial).psi[-1].real)
     assert not any(np.shares_memory(column, result.psi) for column in profile)
 
 
@@ -950,6 +960,7 @@ def test_cli_exit_code_on_blow_up(tmp_path, capsys):
                "--set", "horizon_tau=1000.0"])
     assert rc == 3
     assert "blew up" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -1114,6 +1125,135 @@ def test_cli_dispersion_scan_runs_a_probe_the_grid_plan_refused(tmp_path):
     dt = manifest["solver"]["dt"]
     want = -np.angle(rk4_factor(-1j * omega_minus * dt)) / dt
     assert abs(float(rows[0][2]) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("params", [
+    # 131 rows, in a ring of 4 blocks of 8 rows of 2048 points
+    {"n": 2048, "L": 640.0, "sigma0": 4.0, "laplacian": "spectral"},
+    # 155 rows, in a ring of 4 blocks of 4 rows of 4096 points
+    {"form": "full", "n": 4096, "L": 16384.0, "sigma0": 8.0, "horizon_tau": 150.0},
+])
+def test_packet_reduced_widths_equal_the_materialised_run(tmp_path, monkeypatch,
+                                                          params):
+    runs, written = [], {}
+    real_evolve, real_write_csv = scenarios.evolve, scenarios.write_csv
+
+    def keep_plan(plan, initial, reduce=None):
+        runs.append((plan, initial))
+        return real_evolve(plan, initial, reduce=reduce)
+
+    def keep_columns(path, header, columns):
+        written[Path(path).name] = columns
+        return real_write_csv(path, header, columns)
+
+    monkeypatch.setattr(scenarios, "evolve", keep_plan)
+    monkeypatch.setattr(scenarios, "write_csv", keep_columns)
+    run_scenario("pde_packet", params, out_dir=tmp_path)
+    ((plan, initial),) = runs
+    whole = real_evolve(plan, initial)
+    assert len(whole.times) > 4 * kernels.ring_rows(plan.grid.n)
+    times, measured = written["pde_packet_width.csv"][:2]
+    want = field_width(whole.psi, plan.grid)
+    assert np.array_equal(times, whole.times)
+    assert np.all(np.abs(measured - want) <= 1e-15 * want)
+    profile = written["pde_packet_profile.csv"]
+    assert np.array_equal(profile[1] + 1j * profile[2], whole.psi[-1])
+
+
+def _fed_packet_run(tmp_path, monkeypatch, capsys, blocks):
+    """``main``'s exit code and stderr for a pde_packet run whose evolve hands
+    ``blocks`` (functions of the grid size) to the scenario's reduce in time
+    order, as the kernel does, and then reports a blow-up at t_hat=99."""
+    def fed(plan, initial, reduce=None):
+        with np.errstate(all="ignore"):  # as in the kernel's run
+            for block in blocks:
+                reduce(block(plan.grid.n))
+        raise BlowUpError(99.0)
+
+    monkeypatch.setattr(scenarios, "evolve", fed)
+    rc = main(["run", "pde_packet", "--out", str(tmp_path), "--set", "samples=8",
+               "--set", "dt=0.01", "--set", "horizon_tau=8.0"])
+    assert not (tmp_path / "manifest.json").exists()
+    return rc, capsys.readouterr().err
+
+
+def test_packet_first_row_without_mass_decides_before_a_later_blow_up(
+        tmp_path, monkeypatch, capsys):
+    # rows 0-2, then a block whose row 5 has no mass and whose last row, 6,
+    # is the blow-up's: the earlier row decides
+    def bad(n):
+        rows = np.ones((4, n), dtype=np.complex128)
+        rows[2] = 0.0
+        rows[3] = np.inf
+        return rows
+
+    rc, err = _fed_packet_run(tmp_path, monkeypatch, capsys,
+                              [lambda n: np.ones((3, n), dtype=np.complex128), bad])
+    assert rc == 3
+    # 800 steps stored every 100: row 5 is at t_hat = 500 * 0.01
+    assert err == "error: solution underflowed to zero at t_hat=5\n"
+
+
+def test_packet_blow_up_decides_before_a_later_row_without_mass(
+        tmp_path, monkeypatch, capsys):
+    # the kernel hands no row past the blow-up's, whose width is not finite
+    def blown(n):
+        rows = np.ones((2, n), dtype=np.complex128)
+        rows[1] = np.inf
+        return rows
+
+    rc, err = _fed_packet_run(tmp_path, monkeypatch, capsys, [blown])
+    assert rc == 3
+    assert err == "error: solution blew up at t_hat=99\n"
+
+
+def test_cli_packet_runs_rows_a_materialised_run_could_not_hold(tmp_path):
+    # 27,714 rows of 2048 points: 1.36e9 B materialised, above the cap;
+    # the reduced run holds a ring of 32 rows
+    tracemalloc.start()
+    try:
+        rc = main(["run", "pde_packet", "--out", str(tmp_path), "--set", "n=2048",
+                   "--set", "L=640", "--set", "sigma0=4", "--set", "laplacian=spectral",
+                   "--set", "dt=0.002", "--set", "samples=100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["outputs"][0]["rows"] == 27714
+    assert peak < 16 * 10**6
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.sampled_from([8, 16, 64, 256, 1024, 2048, 4096]),
+       samples=st.integers(1, 3000),
+       dt=st.one_of(st.none(), st.floats(1e-3, 1.0)))
+def test_pde_packet_allocates_within_the_count_it_checked(tmp_path_factory, n,
+                                                          samples, dt):
+    # every draw that runs holds no more than the count the scenario checked
+    # against the cap; sigma0 = 20 spans two grid spacings on every grid
+    checked = []
+    real_check_bytes = scenarios.check_bytes
+
+    def record(need, what):
+        checked.append(need)
+        return real_check_bytes(need, what)
+
+    argv = ["run", "pde_packet", "--out", str(tmp_path_factory.mktemp("mem")),
+            "--set", f"n={n}", "--set", "sigma0=20", "--set", "horizon_tau=200",
+            "--set", f"samples={samples}", "--set", f"dt={json.dumps(dt)}"]
+    with contextlib.redirect_stderr(io.StringIO()):
+        if main(argv) != 0:  # a refused draw: a dt above the stability bound
+            return
+        scenarios.check_bytes = record
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            scenarios.check_bytes = real_check_bytes
+    assert peak <= checked[-1]
 
 
 @pytest.mark.filterwarnings("error")
