@@ -564,52 +564,51 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     return outputs, solver
 
 
-def _sup_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| over two stacks of rows, a block of
-    :func:`kernels.block_rows` rows at a time."""
-    block = kernels.block_rows(a.shape[1])
-    return float(max(np.abs(a[i:i + block] - b[i:i + block]).max()
-                     for i in range(0, len(a), block)))
-
-
-def _regime_plans(params: dict, grid: Grid, r: float) -> tuple[PdeProblem, PdeProblem]:
-    """The full and the macroscopic form's plans at mass ratio ``r``, refused
-    when the arrays of both runs, which are held at once, exceed the cap."""
-    full, macro = (reduce_equation(EquationParameters(r, params["v"], form))
-                   for form in (EquationForm.FULL, EquationForm.MACROSCOPIC))
-    # The macroscopic frequencies are the full form's at k = 0, so the full
-    # form's stability-rule step is the smaller, and both take it.
-    full_plan = _refused(PdeProblem, full, grid, t_end=params["horizon_tau"],
-                         snapshot_stride=1, laplacian=params["laplacian"],
-                         safety=params["safety"], min_steps=8)
-    macro_plan = _refused(PdeProblem, macro, grid, t_end=params["horizon_tau"],
-                          dt=full_plan.dt, snapshot_stride=1,
-                          laplacian=params["laplacian"], min_steps=8)
-    _refused(check_bytes, full_plan.n_bytes + macro_plan.n_bytes,
-             f"the full and the macroscopic run of {full_plan.n_steps} steps, "
-             f"every step stored, on {grid.n} points")
-    return full_plan, macro_plan
+def _regime_bytes(plan_bytes: int, rows: int, points: int) -> int:
+    """Bytes a regime_compare run holds at once: its plan's count, the closed
+    form's uniform run, and 32 B a value of a block of rows for the distance
+    (the closed form's rows and their difference from the full run's)."""
+    return (plan_bytes + run_bytes(2, rows, 2)
+            + 32 * min(rows, kernels.block_rows(points)) * points)
 
 
 def _run_regime_compare(params: dict) -> tuple[list[OutputFile], dict]:
     grid = _refused(Grid, params["n"], params["L"])
     lap_mode = params["laplacian"]
+    block = kernels.block_rows(grid.n)
     uniform_initial = FieldState.uniform(grid, 0.0, 2.0j)
     packet_psi = gaussian_packet(grid, params["sigma0"])
-    rows = []
-    dts = []
+    rows, dts = [], []
     for r in params["r"]:
-        plans = _regime_plans(params, grid, r)
-        dts.append(plans[0].dt)
-        packet_initial = schrodinger_consistent_state(packet_psi, plans[0].coeffs,
-                                                      lap_mode)
-        # The first run's psi is copied out, so its derivative rows are freed
-        # before the second run; one initial state's fields are freed before
-        # the next one's run.
-        distances = [_sup_distance(_refused(evolve, plans[0], initial).psi.copy(),
-                                   _refused(evolve, plans[1], initial).psi)
-                     for initial in (uniform_initial, packet_initial)]
-        rows.append((r, distances[0], distances[1]))
+        full, macro = (reduce_equation(EquationParameters(r, params["v"], form))
+                       for form in (EquationForm.FULL, EquationForm.MACROSCOPIC))
+        # The macroscopic growth rates are the full form's at k = 0, so the
+        # full plan makes every refusal the macroscopic one would, and first.
+        plan = _refused(PdeProblem, full, grid, t_end=params["horizon_tau"], snapshot_stride=1,
+                        laplacian=lap_mode, safety=params["safety"], min_steps=8, kept=8)
+        stored = sample_rows(plan.n_steps, 1)
+        _refused(check_bytes, _regime_bytes(plan.n_bytes, stored, grid.n),
+                 f"the reduced full run of {stored} rows on {grid.n} points and its closed form")
+        dts.append(plan.dt)
+        # The macroscopic form steps every mode by its k = 0 coefficients: its
+        # row s is p_s psi0 + q_s phi0, from the starts (1, 0) and (0, 1).  For
+        # v < 1/2 that mode is stable at the plan's dt, so this run cannot blow up.
+        pq = kernels.run_uniform([1.0, 0.0], [0.0, 1.0], *_mode_coefficients(
+            macro, np.zeros(2)), plan.dt, plan.n_steps)[0]
+        packet_initial = schrodinger_consistent_state(packet_psi, full, lap_mode)
+        rows.append([r])
+        for initial in (uniform_initial, packet_initial):
+            basis, seen = np.stack((initial.psi.values, initial.dpsi_dt.values)), 0
+
+            def distance(stack: np.ndarray) -> np.ndarray:
+                """max |row - p_s psi0 - q_s phi0| of the next rows, a block at a time."""
+                nonlocal seen
+                closed, seen = pq[seen:seen + len(stack)], seen + len(stack)
+                return np.concatenate([
+                    np.abs(stack[a:a + block] - closed[a:a + block] @ basis).max(axis=1)
+                    for a in range(0, len(stack), block)])
+
+            rows[-1].append(float(_refused(evolve, plan, initial, reduce=distance).psi.max()))
     outputs = [OutputFile(
         name="regime_compare_distances.csv",
         header=["r", "sup_distance_uniform", "sup_distance_packet"],

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -18,8 +21,10 @@ from nsblab.cli import main
 from nsblab.constants import PhysicalConstants
 from nsblab.integrator import BlowUpError
 from nsblab.kernels import MAX_SAMPLE_BYTES, run_bytes
-from nsblab.pde import (Grid, PdeProblem, _mode_coefficients, evolve, field_width,
-                        mode_amplitudes, plane_wave_state, stability_dt)
+from nsblab.pde import (FieldState, Grid, PdeProblem, _mode_coefficients, evolve,
+                        field_width, gaussian_packet, growth_horizon, growth_rates,
+                        mode_amplitudes, plane_wave_state, schrodinger_consistent_state,
+                        stability_dt)
 from nsblab.scenarios import (
     SCENARIO_KEYS,
     ConfigError,
@@ -566,34 +571,106 @@ def test_dispersion_scan_allocates_within_its_count(tmp_path):
     assert needs[1] < run_bytes(256, 8165, 2, kept=16)
 
 
+def regime_plan(params, r, form=EquationForm.FULL, **kwargs):
+    """A plan regime_compare's parent made for ``form`` at mass ratio ``r``:
+    every step stored, at least eight steps."""
+    coeffs = reduce_equation(EquationParameters(r, params["v"], form))
+    return PdeProblem(coeffs, Grid(params["n"], params["L"]), t_end=params["horizon_tau"],
+                      snapshot_stride=1, laplacian=params["laplacian"],
+                      safety=params["safety"], min_steps=8, **kwargs)
+
+
 @pytest.mark.parametrize("overrides", [{}, {"n": 4096, "L": 8192.0, "r": [0.1]},
                                        {"n": 64, "L": 80.0, "horizon_tau": 200.0}])
 def test_regime_compare_allocates_within_both_plans(tmp_path, overrides):
-    # both runs' fields are held at once, so both plans are counted together
+    # the reduced full run's plan, the closed form's uniform run and the
+    # distance's temporaries over a block of rows, counted together
     params = resolve_config("regime_compare", {}, overrides)
     _, peak = peak_bytes("regime_compare", params, tmp_path)
-    grid = Grid(params["n"], params["L"])
-    need = max(sum(plan.n_bytes for plan in scenarios._regime_plans(params, grid, r))
-               for r in params["r"])
+    plans = [regime_plan(params, r, kept=8) for r in params["r"]]
+    need = max(scenarios._regime_bytes(plan.n_bytes, plan.n_steps + 1, plan.grid.n)
+               for plan in plans)
     assert 0.5 * need < peak <= need
 
 
-def test_regime_compare_frees_the_first_runs_derivative_rows(tmp_path, monkeypatch):
-    # the first run's psi is copied out, so the kernel's array, which holds
-    # its dpsi_dt rows too, is freed before the second run steps
-    kernel_arrays, alive_at_call = [], []
-    real_evolve = scenarios.evolve
+def test_regime_compare_makes_one_reduced_run_per_initial_state(tmp_path, monkeypatch):
+    # the macroscopic run is a closed form, one uniform run of two systems
+    # per mass ratio; the only field runs are the full form's, reduced
+    calls, uniform_runs = [], []
+    real_evolve, real_run_uniform = scenarios.evolve, scenarios.kernels.run_uniform
 
-    def watched(plan, initial):
-        alive_at_call.append([ref() is not None for ref in kernel_arrays])
-        result = real_evolve(plan, initial)
-        kernel_arrays.append(weakref.ref(result.psi.base))
-        return result
+    def watched(plan, initial, reduce=None):
+        calls.append((plan, initial, reduce))
+        return real_evolve(plan, initial, reduce=reduce)
+
+    def counted(psi0, *args):
+        uniform_runs.append(len(psi0))
+        return real_run_uniform(psi0, *args)
 
     monkeypatch.setattr(scenarios, "evolve", watched)
-    run_scenario("regime_compare", {"r": [0.1]}, out_dir=tmp_path)
-    assert len(alive_at_call) == 4
-    assert not any(any(alive) for alive in alive_at_call)
+    monkeypatch.setattr(scenarios.kernels, "run_uniform", counted)
+    run_scenario("regime_compare", {"r": [0.1, 0.01]}, out_dir=tmp_path)
+    assert uniform_runs == [2, 2]
+    assert [plan.coeffs.a_xx for plan, _, _ in calls] == [0.1, 0.1, 0.01, 0.01]
+    for plan, initial, reduce in calls:
+        assert reduce is not None and plan.kept == 8 and plan.coeffs.a_tt == 1.0
+    for (_, uniform, _), (_, packet, _) in (calls[:2], calls[2:]):
+        assert np.all(uniform.psi.values == 0.0) and np.all(uniform.dpsi_dt.values == 2j)
+        assert np.array_equal(packet.psi.values, calls[1][1].psi.values)
+
+
+def test_cli_regime_compare_runs_rows_two_materialised_runs_could_not_hold(tmp_path):
+    # 5,104 rows of 4,096 points: the full and the macroscopic run, both
+    # materialised, were counted at 1.68e9 B and refused; the reduced full
+    # run holds a ring of 16 rows and the closed form 104 B a row
+    tracemalloc.start()
+    try:
+        rc = main(["run", "regime_compare", "--out", str(tmp_path), "--set", "n=4096",
+                   "--set", "L=8192", "--set", "r=[0.1]", "--set", "horizon_tau=5000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "regime_compare_distances.csv")
+    assert len(rows) == 1 and float(rows[0][1]) <= 1e-12
+    assert peak < 8 * 10**6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.sampled_from([8, 16, 32, 64]), log_r=st.floats(-4.0, 1.99),
+       v=st.floats(-2.0, 0.49), laplacian=st.sampled_from(["stencil", "spectral"]),
+       reach=st.floats(0.2, 2.0), width=st.floats(1.0, 10.0),
+       share=st.floats(0.01, 1.0))
+def test_regime_compare_distances_equal_the_two_materialised_runs(n, log_r, v, laplacian,
+                                                                  reach, width, share):
+    # The reference is the parent's design: the full and the macroscopic run,
+    # both materialised at the full plan's dt, and the largest |difference|
+    # of their psi rows.  The grid's Nyquist wavenumber is ``reach`` times
+    # the critical one, so some draws have growing modes, and the horizon is
+    # a ``share`` of the growth budget, at most 300 steps.
+    r = 10.0**log_r
+    k_critical = math.sqrt((1.0 - 2.0 * v) / r)
+    params = resolve_config("regime_compare", {}, {
+        "r": [r], "v": v, "n": n, "L": n * math.pi / (reach * k_critical),
+        "laplacian": laplacian, "sigma0": width / k_critical, "horizon_tau": 1.0})
+    grid = Grid(n, params["L"])
+    full = reduce_equation(EquationParameters(r, v, EquationForm.FULL))
+    budget = growth_horizon(float(np.max(growth_rates(full, grid, laplacian))))
+    dt = stability_dt(full, grid, params["safety"], laplacian)
+    params["horizon_tau"] = share * min(budget, 300 * dt)
+    try:
+        outputs, _ = scenarios._run_regime_compare(params)
+    except ConfigError:  # content at growing modes, which evolve refuses
+        reject()
+    measured = [column[0] for column in outputs[0].columns[1:]]
+    full_plan = regime_plan(params, r)
+    macro_plan = regime_plan(params, r, EquationForm.MACROSCOPIC, dt=full_plan.dt)
+    assert macro_plan.n_steps == full_plan.n_steps
+    packet = schrodinger_consistent_state(gaussian_packet(grid, params["sigma0"]), full,
+                                          laplacian)
+    for initial, got in zip((FieldState.uniform(grid, 0.0, 2.0j), packet), measured):
+        want = np.abs(evolve(full_plan, initial).psi - evolve(macro_plan, initial).psi).max()
+        assert abs(got - want) <= 1e-12
 
 
 def test_pde_packet_full_form_requires_unstable_opt_in(tmp_path):
@@ -739,6 +816,11 @@ RERUNS = [
     ("regime_compare", {"n": 4096, "L": 8192.0, "r": [0.1]}),
     ("pde_packet", {"form": "full", "n": 32, "L": 128.0, "sigma0": 8.0,
                     "horizon_tau": 10.0}),
+    # the telegraph_scan workload's config: eight stencil probes in one run
+    ("dispersion_scan", {"n": 256, "L": 1024.0, "laplacian": "stencil",
+                         "horizon_tau": 1000.0,
+                         "k_values": [0.0184, 0.1043, 0.2454, 0.3927, 0.4725, 0.5522,
+                                      0.6810, 0.7854]}),
 ]
 
 
@@ -921,9 +1003,9 @@ INVALID_RUNS = [
     # arrays above kernels.MAX_SAMPLE_BYTES, refused before any allocation
     ("dispersion_scan", ["safety=1e-18", "horizon_tau=1"]),
     ("regime_compare", ["safety=1e-9"]),
-    # 5,104 rows of 4,096 points: one run's arrays fit the cap, both runs'
-    # arrays, held at once, do not
-    ("regime_compare", ["n=4096", "L=8192", "r=[0.1]", "horizon_tau=5000"]),
+    # 9,183,675 rows of 4,096 points: the reduced full run's plan fits the
+    # cap, and with the closed form's 104 B a row it does not
+    ("regime_compare", ["n=4096", "L=8192", "r=[0.1]", "horizon_tau=9000000"]),
     ("fig1", ["horizon_tau=[1e6]", "samples_per_period=4096"]),
     # 2.9e7 rows, whose arrays fig1 counts at 2.75 GB
     ("fig1", ["horizon_tau=[1e6]", "samples_per_period=90"]),
@@ -1224,14 +1306,9 @@ def test_cli_packet_runs_rows_a_materialised_run_could_not_hold(tmp_path):
     assert peak < 16 * 10**6
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(n=st.sampled_from([8, 16, 64, 256, 1024, 2048, 4096]),
-       samples=st.integers(1, 3000),
-       dt=st.one_of(st.none(), st.floats(1e-3, 1.0)))
-def test_pde_packet_allocates_within_the_count_it_checked(tmp_path_factory, n,
-                                                          samples, dt):
-    # every draw that runs holds no more than the count the scenario checked
-    # against the cap; sigma0 = 20 spans two grid spacings on every grid
+def allocates_within_the_count_it_checked(argv):
+    """Whether a run of ``argv`` that is not refused holds no more than the
+    largest count its scenario checked against the cap."""
     checked = []
     real_check_bytes = scenarios.check_bytes
 
@@ -1239,12 +1316,9 @@ def test_pde_packet_allocates_within_the_count_it_checked(tmp_path_factory, n,
         checked.append(need)
         return real_check_bytes(need, what)
 
-    argv = ["run", "pde_packet", "--out", str(tmp_path_factory.mktemp("mem")),
-            "--set", f"n={n}", "--set", "sigma0=20", "--set", "horizon_tau=200",
-            "--set", f"samples={samples}", "--set", f"dt={json.dumps(dt)}"]
     with contextlib.redirect_stderr(io.StringIO()):
-        if main(argv) != 0:  # a refused draw: a dt above the stability bound
-            return
+        if main(argv) != 0:  # a refused draw
+            return True
         scenarios.check_bytes = record
         tracemalloc.start()
         try:
@@ -1253,7 +1327,41 @@ def test_pde_packet_allocates_within_the_count_it_checked(tmp_path_factory, n,
         finally:
             tracemalloc.stop()
             scenarios.check_bytes = real_check_bytes
-    assert peak <= checked[-1]
+    return peak <= max(checked)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.sampled_from([8, 16, 64, 256, 1024, 2048, 4096]),
+       samples=st.integers(1, 3000),
+       dt=st.one_of(st.none(), st.floats(1e-3, 1.0)))
+def test_pde_packet_allocates_within_the_count_it_checked(tmp_path_factory, n,
+                                                          samples, dt):
+    # every draw that runs holds no more than the count the scenario checked
+    # against the cap; a draw with dt above the stability bound is refused;
+    # sigma0 = 20 spans two grid spacings on every grid
+    assert allocates_within_the_count_it_checked([
+        "run", "pde_packet", "--out", str(tmp_path_factory.mktemp("mem")),
+        "--set", f"n={n}", "--set", "sigma0=20", "--set", "horizon_tau=200",
+        "--set", f"samples={samples}", "--set", f"dt={json.dumps(dt)}"])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.sampled_from([256, 512, 1024, 2048, 4096]),
+       rs=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=3),
+       spacing=st.floats(1.0, 4.0), horizon=st.floats(1.0, 400.0))
+def test_regime_compare_allocates_within_the_count_it_checked(tmp_path_factory, n, rs,
+                                                              spacing, horizon):
+    # the same for regime_compare, over one to three mass ratios and horizons
+    # of 8 to about 1,300 stored rows; a draw beyond its growth budget is
+    # refused.  The grids start at 256 points: the count is of arrays, and on
+    # smaller grids the parser's, the writer's and the manifest's objects
+    # (about 35 kB measured at n = 8) outweigh them.  pde_packet's count
+    # covers these with its writer's chunk of 1,024 rows, which regime_compare,
+    # writing one row a mass ratio, does not hold.
+    assert allocates_within_the_count_it_checked([
+        "run", "regime_compare", "--out", str(tmp_path_factory.mktemp("mem")),
+        "--set", f"n={n}", "--set", f"L={n * spacing}", "--set", f"r={json.dumps(rs)}",
+        "--set", f"horizon_tau={horizon}"])
 
 
 @pytest.mark.filterwarnings("error")
@@ -1342,3 +1450,54 @@ def test_cli_exit_code_contract_holds_for_bounded_inputs(tmp_path_factory, run):
     else:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (argv after "run", exit code, whether a manifest is left, stderr): stderr is
+# "" for none, "error" for exactly one line starting "error:", or the whole
+# line expected.  Runs that exit 0 and refusals of each scenario, and the
+# runtime errors with their pinned lines.
+PROCESS_CASES = [
+    (["fig1", "--set", "horizon_tau=[10]"], 0, True, ""),
+    (["fig1", "--set", "A=0"], 2, False, "error"),
+    # a horizon shorter than one sample at |A| = 1e100 plans a sample
+    # stride beyond int64; a horizon below 1e-100 underflows the step rule
+    (["fig1", "--set", "A=-1e100", "--set", "horizon_tau=[0.001]"], 2, False, "error"),
+    (["fig1", "--set", "horizon_tau=[5e-324]"], 2, False, "error"),
+    # a config nested beyond the JSON parser's recursion limit
+    (["fig1", "--set", "A=" + "[" * 100000], 2, False, "error"),
+    (["dispersion_scan"], 0, True, ""),
+    (["dispersion_scan", *BLOW_UP_SCAN, "--set", "k_values=[0.5]"], 3, False,
+     "error: solution blew up at t_hat=600 (dominant content near k_hat=0.4909)"),
+    (["dispersion_scan", *BLOW_UP_SCAN, "--set", "k_values=[0.1,0.5]"], 3, False,
+     "error: solution blew up at t_hat=595 (dominant content near k_hat=0.09817)"),
+    (["regime_compare"], 0, True, ""),
+    (["regime_compare", "--set", "n=4096", "--set", "L=8192", "--set", "r=[0.1]",
+      "--set", "horizon_tau=9000000"], 2, False, "error"),
+    (["pde_packet", "--set", "horizon_tau=1"], 0, True, ""),
+    # RK4's damping takes the field to exactly zero
+    (["pde_packet", "--set", "allow_unstable=true", "--set", "v=1e10",
+      "--set", "samples=8"], 3, False,
+     "error: solution underflowed to zero at t_hat=1.73205"),
+]
+
+
+def test_cli_contract_holds_in_a_real_process(tmp_path):
+    # exit status and stderr as a shell sees them, without pytest's capture:
+    # a warning printed ahead of the error line would show here
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    for i, (args, code, manifest, err) in enumerate(PROCESS_CASES):
+        out = tmp_path / str(i)
+        done = subprocess.run([sys.executable, "-m", "nsblab.cli", "run", args[0],
+                               "--out", str(out), *args[1:]],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, (args[:3], done.stderr)
+        assert (out / "manifest.json").exists() == manifest, args[:3]
+        lines = done.stderr.splitlines()
+        if err == "":
+            assert done.stderr == "", args[:3]
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error:"), (args[:3], lines)
+            assert err == "error" or lines[0] == err, (args[:3], lines)
+
