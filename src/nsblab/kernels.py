@@ -144,13 +144,14 @@ def sample_steps(n_steps: int, stride: int) -> np.ndarray:
 # Bytes a run allocates, measured with tracemalloc (numpy 2.4) plus a
 # margin.  Per held row and grid point, one complex128 per component (two
 # in the second-order system, psi alone in the first-order limit) and a
-# float64 magnitude for the blow-up scan and the diagnostics.  Per stored
-# row, 24: the step index, the time and the scan's row maximum, most of a
-# one-point run's 57; a reduced run adds twice what ``reduce`` keeps of a
-# row, as its outputs are joined at the end.  Per grid point, the work
-# arrays of the first- or second-order system: the rates, the update rows
-# and their temporaries.
-_POINT_ROW_BYTES = {1: 24, 2: 40}
+# float64 magnitude for the blow-up scan and the diagnostics; where it is
+# more, 32 B a point of each row of a block that a second-order run on more
+# than one point advances (at most half the rows): numpy's iterator buffer
+# and a product.  Per stored row, 24: the step index, the time and the
+# scan's row maximum, most of a one-point run's 57; a reduced run adds twice
+# what ``reduce`` keeps of a row, as its outputs are joined at the end.  Per
+# grid point, the work arrays: the rates, the update rows, their temporaries.
+_COMPONENT_BYTES = {1: 16, 2: 32}
 _ROW_BYTES = 24
 _WORK_BYTES = {1: 120, 2: 280}
 
@@ -161,8 +162,9 @@ def run_bytes(points: int, rows: int, order: int, kept=None) -> int:
     With ``kept``, the bytes ``reduce`` keeps of a row, the run is reduced:
     it holds at most :func:`ring_rows` rows of the grid at once."""
     held = rows if kept is None else min(rows, ring_rows(points))
-    return (held * _POINT_ROW_BYTES[order] * points
-            + rows * (_ROW_BYTES + 2 * (kept or 0)) + _WORK_BYTES[order] * points)
+    block = min(rows // 2, block_rows(points)) if order == 2 and points > 1 else 0
+    return ((held * _COMPONENT_BYTES[order] + max(8 * held, 32 * block)
+             + _WORK_BYTES[order]) * points + rows * (_ROW_BYTES + 2 * (kept or 0)))
 
 
 def check_bytes(need: int, what: str) -> int:

@@ -150,15 +150,27 @@ def stability_dt(coeffs: CanonicalCoefficients, grid: Grid, safety: float = 0.7,
     return safety * kernels.RK4_IMAGINARY_STABILITY / bound
 
 
-def _step_plan(horizon: float, dt_max: float, min_steps: int = 1) -> tuple[float, int]:
-    """(dt, n_steps): the fewest whole steps, at least ``min_steps``, that
-    reach ``horizon`` exactly with ``dt <= dt_max`` up to the round-off
-    :func:`kernels.whole_steps` allows."""
-    n_steps = kernels.whole_steps(horizon, dt_max)[0]  # checks both, even at 0
-    if horizon == 0.0:
-        return dt_max, 0
-    n_steps = max(min_steps, n_steps)
-    return horizon / n_steps, n_steps
+def step_plan(coeffs: CanonicalCoefficients, grid: Grid, horizon: float,
+              dt: Optional[float] = None, laplacian: str = "stencil",
+              safety: float = 0.7, allow_unstable: bool = False,
+              min_steps: int = 1) -> tuple[float, int]:
+    """(dt, n_steps): the fewest whole steps, at least ``min_steps``, that reach
+    ``horizon`` with a step of at most ``dt`` (None: the stability rule at
+    ``safety``), up to the round-off :func:`kernels.whole_steps` allows.
+    Refused with ValueError unless ``allow_unstable``: v >= 1/2, and a dt
+    above the stability bound."""
+    if coeffs.v >= 0.5 and not allow_unstable:
+        raise ValueError("all wavenumbers unstable (v >= 1/2); "
+                         "set allow_unstable to run anyway")
+    if dt is None:
+        dt = stability_dt(coeffs, grid, safety, laplacian)
+    elif not allow_unstable:
+        bound = stability_dt(coeffs, grid, 1.0, laplacian)
+        if dt > bound * (1.0 + 1e-9):
+            raise ValueError(f"dt={dt!r} exceeds the stability bound "
+                             f"{bound!r}; set allow_unstable to override")
+    n_steps = max(min_steps, kernels.whole_steps(horizon, dt)[0])  # checks both, even at 0
+    return (dt, 0) if horizon == 0.0 else (horizon / n_steps, n_steps)
 
 
 # Largest growth rate x horizon a run may carry: modes above the critical
@@ -182,25 +194,20 @@ def growth_horizon(rate: float) -> float:
     return _ROGUE_BUDGET / rate if rate > 0.0 else math.inf
 
 
-def _auto_stride(n_steps: int, target_snapshots: int = 512) -> int:
-    return max(1, n_steps // target_snapshots)
-
-
 @dataclass(frozen=True, eq=False)
 class PdeProblem:
     """The plan of one evolution run, made and checked before any field exists.
 
-    ``dt`` is the largest step allowed (None: the stability rule at
-    ``safety``); the run takes the fewest whole steps, at least
-    ``min_steps``, that reach ``t_end``.  ``snapshot_stride`` is an int, a
-    function of the step count, or None for about 512 snapshots.  ``kept``
-    is None for a materialised run, or the bytes of a row that the run's
-    ``reduce`` keeps (see :func:`evolve`): ``n_bytes`` counts the run the
-    plan will make, :func:`kernels.run_bytes` of every stored row or of a
-    reduced run's ring.  Refused with ValueError: a dt above the stability
-    bound, v >= 1/2 and round-off growth beyond ``_ROGUE_BUDGET`` e-folds,
-    unless ``allow_unstable`` is set; and always ``n_bytes`` above the byte
-    cap.
+    Its steps to ``t_end`` are :func:`step_plan`'s, of at most ``dt`` (None:
+    the stability rule at ``safety``) and at least ``min_steps`` of them.
+    ``snapshot_stride`` is an int, a function of the step count, or None for
+    about 512 snapshots.  ``kept`` is None for a materialised run, or the
+    bytes of a row that the run's ``reduce`` keeps (see :func:`evolve`):
+    ``n_bytes`` counts the run the plan will make, :func:`kernels.run_bytes`
+    of every stored row or of a reduced run's ring.  Refused with ValueError:
+    what :func:`step_plan` refuses, and round-off growth beyond
+    ``_ROGUE_BUDGET`` e-folds, unless ``allow_unstable`` is set; and always
+    ``n_bytes`` above the byte cap.
     """
 
     coeffs: CanonicalCoefficients
@@ -225,26 +232,18 @@ class PdeProblem:
         # rows once the stride is known.
         kernels.check_bytes(kernels.run_bytes(self.grid.n, 1, order),
                             f"a run on {self.grid.n} points")
-        if self.coeffs.v >= 0.5 and not self.allow_unstable:
-            raise ValueError("all wavenumbers unstable (v >= 1/2); "
-                             "set allow_unstable to run anyway")
+        dt, n_steps = step_plan(self.coeffs, self.grid, self.t_end, self.dt, self.laplacian,
+                                self.safety, self.allow_unstable, self.min_steps)
         rates = growth_rates(self.coeffs, self.grid, self.laplacian)
         rate = float(rates.max())
         if self.t_end > growth_horizon(rate) and not self.allow_unstable:
             raise ValueError(f"modes growing at up to {rate:.6g} amplify round-off by "
                              f"e^{rate * self.t_end:.4g} over t_end={self.t_end!r}, beyond "
                              f"e^{_ROGUE_BUDGET:g}; shorten t_end or set allow_unstable")
-        dt_max = self.dt
-        if dt_max is None:
-            dt_max = stability_dt(self.coeffs, self.grid, self.safety, self.laplacian)
-        elif not self.allow_unstable:
-            bound = stability_dt(self.coeffs, self.grid, 1.0, self.laplacian)
-            if dt_max > bound * (1.0 + 1e-9):
-                raise ValueError(f"dt={dt_max!r} exceeds the stability bound "
-                                 f"{bound!r}; set allow_unstable to override")
-        dt, n_steps = _step_plan(self.t_end, dt_max, self.min_steps)
-        stride = _auto_stride if self.snapshot_stride is None else self.snapshot_stride
-        if callable(stride):
+        stride = self.snapshot_stride
+        if stride is None:  # about 512 snapshots
+            stride = max(1, n_steps // 512)
+        elif callable(stride):
             stride = stride(n_steps)
         rows = kernels.sample_rows(n_steps, stride)  # refuses a stride below 1
         need = kernels.check_bytes(

@@ -65,6 +65,7 @@ from .pde import (
     mode_amplitudes,  # not called here; perfbench's tracer wraps it by this name
     schrodinger_consistent_state,
     stability_dt,  # not called here; perfbench's tracer wraps it by this name
+    step_plan,
     width_law,
     wrapped_offsets,
 )
@@ -203,8 +204,8 @@ SCENARIO_KEYS: dict[str, dict[str, KeySpec]] = {
         "laplacian": _LAPLACIAN,
         "safety": _SAFETY,
         "horizon_tau": KeySpec("float", 50.0,
-                               f"measurement window, {_SIZE}; auto-capped on "
-                               "grids with supercritical modes", _sized),
+                               f"measurement window, {_SIZE}; auto-capped "
+                               "where a probed mode grows", _sized),
         "dt": _DT,
         "allow_unstable": KeySpec("bool", False,
                                   "permit probing wavenumbers above critical"),
@@ -458,7 +459,7 @@ def _refused(fn, *args, **kwargs):
     scan's kernel runs, a ValueError means the inputs ask for a run that
     cannot be made: a size beyond the float or int64 range, a horizon that
     is not whole steps, arrays above ``kernels.MAX_SAMPLE_BYTES``, or what
-    ``PdeProblem`` refuses without ``allow_unstable``.
+    ``step_plan`` and ``PdeProblem`` refuse without ``allow_unstable``.
     """
     try:
         return fn(*args, **kwargs)
@@ -467,14 +468,17 @@ def _refused(fn, *args, **kwargs):
 
 
 # Bytes the fits hold a probe's stored row (column copy, phases, temporaries)
-# beyond its kernel run's count: tracemalloc measured 47 to 60, 1 to 128 probes.
-_FIT_ROW_BYTES = 64
+# beyond its kernel run's count: tracemalloc measured 47 to 60, 1 to 128
+# probes.  Whatever their size, they also fill two of numpy's iterator
+# buffers of np.getbufsize() float64 values, which the per-row count misses
+# by up to 63 kB on small stacks (257 to 1,022 rows of 8 to 32 probes).
+_FIT_ROW_BYTES, _FIT_BUFFER_BYTES = 64, 2 * np.getbufsize() * 8
 
 
-def _scan_bytes(plan_bytes: int, probes: int, rows: int) -> int:
-    """Bytes a dispersion_scan run holds at once: its plan's count, one kernel
-    run of ``probes`` one-point systems of ``rows`` stored rows, and its fits."""
-    return plan_bytes + run_bytes(probes, rows, 2) + _FIT_ROW_BYTES * probes * rows
+def _scan_bytes(probes: int, rows: int) -> int:
+    """Bytes a dispersion_scan run holds at once: one kernel run of ``probes``
+    one-point systems of ``rows`` stored rows, and its fits."""
+    return _FIT_BUFFER_BYTES + run_bytes(probes, rows, 2) + _FIT_ROW_BYTES * probes * rows
 
 
 def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
@@ -482,20 +486,6 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     lap_mode = params["laplacian"]
     coeffs = reduce_equation(
         EquationParameters(params["r"], params["v"], EquationForm.FULL))
-    # The window stops where the plan's round-off growth budget does.
-    s_max = float(np.max(growth_rates(coeffs, grid, lap_mode)))
-    window = min(params["horizon_tau"], growth_horizon(s_max))
-    capped = window < params["horizon_tau"]
-    # The plan sets dt and the step count from the whole grid, as a field
-    # run would take them; the probes are stepped as one-point systems, so
-    # the plan stores only the grid's end rows.
-    plan = _refused(PdeProblem, coeffs, grid, t_end=window, dt=params["dt"],
-                    snapshot_stride=lambda n_steps: n_steps, laplacian=lap_mode,
-                    safety=params["safety"], allow_unstable=params["allow_unstable"],
-                    min_steps=16)
-    stored = sample_rows(plan.n_steps, 1)
-    _refused(check_bytes, _scan_bytes(plan.n_bytes, 1, stored),
-             f"{stored} stored rows a probe and their fit")
     # Python floats: a product beyond the float range is inf, without a warning
     modes = np.array([k * grid.length / (2.0 * math.pi) for k in params["k_values"]])
     inside = np.abs(modes) <= grid.n // 2 + 0.5
@@ -507,6 +497,15 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     # C pow, as the scalar k**2 was: squaring differs in one k in a thousand
     exact_p, exact_m = dispersion_branches(coeffs, np.float_power(k_snap, 2))
     stable = np.abs(omega_m.imag) <= 1e-14
+    # A probe steps its own mode alone: only growing probes cut the window to
+    # their round-off budget, and dt and the step count are a field run's.
+    window = min(params["horizon_tau"], growth_horizon(
+        float(np.max(omega_p.imag[inside & ~stable], initial=0.0))))
+    dt, n_steps = _refused(step_plan, coeffs, grid, window, params["dt"], lap_mode,
+                           params["safety"], params["allow_unstable"], min_steps=16)
+    stored = sample_rows(n_steps, 1)
+    _refused(check_bytes, _scan_bytes(1, stored),
+             f"{stored} stored rows a probe and their fit")
     rate = np.where(stable, np.abs(omega_m), np.abs(omega_p.imag))
     slow = (rate > 0.0) & (rate * window < _MIN_PHASE_ADVANCE)
     # Every entry is checked before any run, in order, each first against the
@@ -530,18 +529,18 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     phi0 = -1j * np.where(stable, omega_m, omega_p)
     # The probes share c, dt and the step count, so a kernel run steps as many
     # side by side as the byte cap holds, in runs that differ by at most one.
-    base = _scan_bytes(plan.n_bytes, 0, stored)
-    per = (kernels.MAX_SAMPLE_BYTES - base) // (_scan_bytes(plan.n_bytes, 1, stored) - base)
+    base = _scan_bytes(0, stored)
+    per = (kernels.MAX_SAMPLE_BYTES - base) // (_scan_bytes(1, stored) - base)
     count = len(js)
     measured = np.full((2, count), np.nan)  # frequencies, growth rates
     for batch in np.array_split(np.arange(count), -(-count // per)) if count else ():
         amps, phis, steps, blow = _refused(kernels.run_uniform, np.ones_like(phi0[batch]),
-                                           phi0[batch], b[batch], c, plan.dt, plan.n_steps)
+                                           phi0[batch], b[batch], c, dt, n_steps)
         if blow >= 0:  # name the first probe bad in the row the run stops at
             hit = ~(np.maximum(np.abs(amps[blow]), np.abs(phis[blow])) < BLOWUP_MAGNITUDE)
-            raise BlowUpError(float(steps[blow]) * plan.dt, "" if blow == 0 else
+            raise BlowUpError(float(steps[blow]) * dt, "" if blow == 0 else
                               f"dominant content near k_hat={k_snap[batch][np.argmax(hit)]:.4g}")
-        times = steps * plan.dt
+        times = steps * dt
         del phis, steps  # the fits need only the times and the amplitudes
         for row, fit, columns in ((0, fit_mode_frequency, stable[batch]),
                                   (1, fit_mode_growth, ~stable[batch])):
@@ -558,8 +557,9 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
         columns=[k_snap, reference, measured[0], rel, resolved,
                  np.where(stable, np.nan, exact_p.imag), measured[1]],
     )]
-    solver = {"dt": plan.dt, "n_steps": plan.n_steps, "window_tau": window,
-              "window_capped": capped, "max_growth_rate_on_grid": s_max,
+    solver = {"dt": dt, "n_steps": n_steps, "window_tau": window,
+              "window_capped": window < params["horizon_tau"],
+              "max_growth_rate_on_grid": float(np.max(growth_rates(coeffs, grid, lap_mode))),
               "laplacian": lap_mode}
     return outputs, solver
 

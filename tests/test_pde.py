@@ -23,7 +23,6 @@ from nsblab.pde import (
     Grid,
     PdeProblem,
     _mode_coefficients,
-    _step_plan,
     evolve,
     field_width,
     fit_mode_frequency,
@@ -36,6 +35,7 @@ from nsblab.pde import (
     schrodinger_consistent_state,
     spectral_filter,
     stability_dt,
+    step_plan,
     width_law,
 )
 
@@ -279,11 +279,18 @@ def test_field_run_allocates_within_the_plan_bytes(a_tt):
     # and near it, for one stored row to many and with a partial last stride
     g = Grid(4096, 2048.0)
     coeffs = CanonicalCoefficients(a_xx=1e-3, a_tt=a_tt, v=0.0)
-    state = FieldState.uniform(g, 0.5, 0.25j)
-    for n_steps, stride in ((1, 1), (10, 10), (1023, 1000), (7, 3), (65, 1),
-                            (129, 1)):
-        prob = PdeProblem(coeffs, g, t_end=0.01 * n_steps, dt=0.01,
-                          snapshot_stride=stride, laplacian="spectral")
+    plans = [PdeProblem(coeffs, g, t_end=0.01 * n_steps, dt=0.01,
+                        snapshot_stride=stride, laplacian="spectral")
+             for n_steps, stride in ((1, 1), (10, 10), (1023, 1000), (7, 3), (65, 1),
+                                     (129, 1))]
+    if a_tt:
+        # 206 rows of a small grid, where the temporaries of a block advanced
+        # outweigh the read-out's magnitudes
+        full = reduce_equation(EquationParameters(0.1, 0.0, EquationForm.FULL))
+        plans += [PdeProblem(full, Grid(n, length), t_end=200.0, snapshot_stride=1,
+                             min_steps=8) for n, length in ((64, 80.0), (32, 40.0))]
+    for prob in plans:
+        state = FieldState.uniform(prob.grid, 0.5, 0.25j)
         evolve(prob, state)  # warm-up, so FFT plans are cached
         tracemalloc.start()
         try:
@@ -299,7 +306,9 @@ def test_field_run_allocates_within_the_plan_bytes(a_tt):
        min_steps=st.integers(1, 32))
 @example(horizon=500.0, dt_max=500.0 / (5e8 + 0.4), min_steps=1)
 def test_step_plan_is_the_fewest_whole_steps(horizon, dt_max, min_steps):
-    dt, n_steps = _step_plan(horizon, dt_max, min_steps)
+    # an explicit dt, which allow_unstable leaves unchecked against the bound
+    dt, n_steps = step_plan(FULL_R1, Grid(8, 10.0), horizon, dt_max,
+                            allow_unstable=True, min_steps=min_steps)
     assert n_steps >= min_steps
     assert n_steps * dt == pytest.approx(horizon, rel=1e-12)
     whole = round(horizon / dt_max)

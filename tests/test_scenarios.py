@@ -297,7 +297,10 @@ def test_dispersion_scan_stable_rows(tmp_path):
         assert float(row[3]) < 1e-3  # spectral default
         assert row[4] == "1"
         assert row[5] == "nan" and row[6] == "nan"
-    assert manifest["solver"]["window_capped"] is True
+    # every probe is stable, so the whole window is measured, though the grid
+    # has supercritical modes
+    assert manifest["solver"]["window_capped"] is False
+    assert manifest["solver"]["window_tau"] == 50.0
 
 
 def rk4_factor(z):
@@ -441,6 +444,16 @@ def test_probe_equals_the_field_runs_mode_amplitude(n, laplacian, r, v, length, 
     plan = PdeProblem(coeffs, grid, t_end=solver["window_tau"], dt=dt, snapshot_stride=1,
                       laplacian=laplacian, allow_unstable=True, min_steps=16)
     assert (plan.dt, plan.n_steps) == (solver["dt"], solver["n_steps"])
+    # The window is cut by the growth of the probes alone, whatever the grid's
+    # other modes do.
+    lams = grid.laplacian_eigenvalues(laplacian)[np.array(modes) % n]
+    omega_p, omega_m = dispersion_branches(coeffs, lams)
+    growth = omega_p.imag[np.abs(omega_m.imag) > 1e-14]
+    horizon = params["horizon_tau"]
+    if growth.size:
+        assert solver["window_tau"] == min(horizon, 25.0 / growth.max())
+    else:
+        assert solver["window_tau"] == horizon and solver["window_capped"] is False
     assert len(fits) == len(modes)
     for j, (times, amps) in zip(modes, fits):
         # the scan starts a stable mode on its slow branch, an unstable one
@@ -547,10 +560,11 @@ def test_pde_packet_allocates_within_its_count(tmp_path):
 
 def test_dispersion_scan_allocates_within_its_count(tmp_path):
     # The probes are one-point systems of their own modes, stepped side by
-    # side in one kernel run, so the scan holds the plan's grid arrays, the
-    # run's rows of every probe and the batched fits' temporaries.  The last case is
-    # a 112,246-row probe, which the grid run's plan refused (1.15e9 B
-    # counted).
+    # side in one kernel run, so the scan holds no grid arrays: the run's rows
+    # of every probe, and the batched fits' temporaries and numpy's iterator
+    # buffers, which outweigh the run's magnitudes on the first case's 1,022
+    # rows.  The last case is a 112,246-row probe, which the grid run's plan
+    # refused (1.15e9 B counted).
     run_scenario("dispersion_scan", out_dir=tmp_path)  # imports numpy.fft
     needs = []
     for horizon, modes, n_steps in (
@@ -564,7 +578,7 @@ def test_dispersion_scan_allocates_within_its_count(tmp_path):
             "k_values": k_values})
         manifest, peak = peak_bytes("dispersion_scan", params, tmp_path)
         assert manifest["solver"]["n_steps"] == n_steps
-        need = scenarios._scan_bytes(run_bytes(256, 2, 2), len(k_values), n_steps + 1)
+        need = scenarios._scan_bytes(len(k_values), n_steps + 1)
         assert 0.5 * need < peak <= need
         needs.append(need)
     # two probes' rows cost less than a ring of the grid's rows did
@@ -982,6 +996,11 @@ INVALID_RUNS = [
     # wavenumber beyond the grid's Nyquist mode
     ("dispersion_scan", ["n=32", "L=128", "dt=5", "k_values=[0.1]"]),
     ("dispersion_scan", ["k_values=[100]"]),
+    # v >= 1/2, where every wavenumber grows, without allow_unstable: with
+    # probes, with none, and at the one stable probe v = 1/2 leaves
+    ("dispersion_scan", ["v=0.75"]),
+    ("dispersion_scan", ["v=0.75", "k_values=[]"]),
+    ("dispersion_scan", ["v=0.5", "k_values=[0]"]),
     # magnitudes beyond the documented size range
     ("regime_compare", ["L=1e-300"]),
     ("pde_packet", ["sigma0=1e300"]),
@@ -1102,8 +1121,8 @@ def test_dispersion_scan_splits_its_probes_between_runs_the_cap_holds(tmp_path,
         "n": 256, "L": 1024.0, "laplacian": "stencil", "horizon_tau": 1000.0,
         "k_values": [2.0 * math.pi * j / 1024.0 for j in (3, 17, 40, 64, 77, 90, 111, 128)]})
     run_scenario("dispersion_scan", params, out_dir=tmp_path / "one")
-    base = scenarios._scan_bytes(run_bytes(256, 2, 2), 0, 1022)
-    one_probe = scenarios._scan_bytes(run_bytes(256, 2, 2), 1, 1022) - base
+    base = scenarios._scan_bytes(0, 1022)
+    one_probe = scenarios._scan_bytes(1, 1022) - base
     widths = []
     run_uniform = scenarios.kernels.run_uniform
     monkeypatch.setattr(scenarios.kernels, "run_uniform",
@@ -1126,8 +1145,8 @@ def test_dispersion_scan_splits_nine_probes_into_equal_runs(tmp_path, monkeypatc
         "k_values": [2.0 * math.pi * j / 1024.0
                      for j in (3, 17, 40, 64, 77, 90, 111, 120, 128)]})
     run_scenario("dispersion_scan", params, out_dir=tmp_path / "one")
-    base = scenarios._scan_bytes(run_bytes(256, 2, 2), 0, 1022)
-    one_probe = scenarios._scan_bytes(run_bytes(256, 2, 2), 1, 1022) - base
+    base = scenarios._scan_bytes(0, 1022)
+    one_probe = scenarios._scan_bytes(1, 1022) - base
     widths = []
     run_uniform = scenarios.kernels.run_uniform
     monkeypatch.setattr(scenarios.kernels, "run_uniform",
