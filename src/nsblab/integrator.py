@@ -10,14 +10,15 @@ matrix A = [[0, 1], [2 v, -2 i]].  It is stepped by classical fixed-step
 RK4 (order 4, stability |lambda| dt <= 2.8 on the imaginary axis) as the
 one mode of a one-point grid in ``kernels``, the propagator that also
 drives the field solver in ``pde``.  This module holds the run record that
-it and ``pde.evolve`` return, and the blow-up errors the scenarios share.
+it and ``pde.evolve`` return, the stored rows' values as plain arrays, and
+the blow-up errors the scenarios share.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,39 +62,19 @@ class TemporalState:
 @dataclass(eq=False)
 class EvolutionResult:
     """Stored samples of one run: ``times`` from 0, and ``psi`` and
-    ``dpsi_dt``, one row (a value, for the uniform system) per sample.
+    ``dpsi_dt``, one row of values (a value, for the uniform system) per
+    sample.
 
-    A field run's ``dpsi_dt`` is made on first read.  A second-order run
-    hands over its rows' spectra, which one inverse FFT turns into fields in
-    place, row 0 set to the initial derivative ``_phi0``.  In the
-    first-order limit it is ``rate`` times psi, mode by mode; ValueError
-    when psi and it together exceed ``kernels.MAX_SAMPLE_BYTES``, counted
-    as a second-order run's rows.
-
-    A reduced run (see ``pde.evolve``) holds ``reduce``'s output in ``psi``,
-    one entry per stored row, and no derivative: ``dpsi_dt`` raises
-    ValueError.
+    ``dpsi_dt`` is None where the run stepped no derivative.  A first-order
+    field run steps psi alone: its derivative is
+    ``kernels.first_order_derivative`` of the rows and the mode rates.  A
+    reduced run (see ``pde.evolve``) holds ``reduce``'s output in ``psi``,
+    one entry per stored row.
     """
 
     times: np.ndarray
     psi: np.ndarray
-    _dpsi_dt: Optional[np.ndarray] = field(default=None, repr=False)
-    _rate: Optional[np.ndarray] = field(default=None, repr=False)
-    _phi0: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def dpsi_dt(self) -> np.ndarray:
-        if self._dpsi_dt is None:
-            if self._rate is None:
-                raise ValueError("a reduced run keeps no derivative")
-            rows, points = self.psi.shape
-            kernels.check_bytes(kernels.run_bytes(points, rows, 2),
-                                f"{rows} rows of {points} points and their derivative")
-            self._dpsi_dt = kernels.first_order_derivative(self.psi, self._rate)
-        elif self._phi0 is not None:
-            np.fft.ifft(self._dpsi_dt, axis=-1, out=self._dpsi_dt)
-            self._dpsi_dt[0], self._phi0 = self._phi0, None
-        return self._dpsi_dt
+    dpsi_dt: Optional[np.ndarray] = None
 
 
 def integrate_uniform(initial: TemporalState, v: float, t_end: float,

@@ -43,12 +43,13 @@ scanned for blow-up, and a reduced run hands it to ``reduce``.  A
 materialised run therefore reads out once, at the end, and a reduced run
 about once per ring's length, up to its first bad row.  The first stored
 sample whose magnitude is non-finite or at or above ``BLOWUP_MAGNITUDE``
-ends the returned arrays; the caller turns that into a blow-up error.  The second-order system's derivative rows are returned
-as spectra, for the reader to transform.  In the first-order limit only psi
-is stored: its derivative, rate * psi mode by mode, is made on demand by
-:func:`first_order_derivative`.  Either derivative counts towards the
-blow-up all the same: a row is formed and checked only where a bound on
-its magnitude cannot clear it.
+ends the returned arrays; the caller turns that into a blow-up error.  A
+materialised second-order run returns its derivative rows as grid values
+too, made by one inverse FFT in place once the rows are read out.  In the
+first-order limit only psi is stored; its derivative, rate * psi mode by
+mode, is :func:`first_order_derivative` of the rows.  Either derivative
+counts towards the blow-up all the same: a row is formed and checked only
+where a bound on its magnitude cannot clear it.
 """
 
 from __future__ import annotations
@@ -327,9 +328,10 @@ def run_uniform(psi0, phi0, b, c, dt, n_steps, stride=1):
 
 def _run_field(b, c, initial, dt, n_steps, stride, reduce=None, transform=True):
     """Step the spectra of the d components ``initial`` under A_k (see the
-    module docstring) and return psi (samples x points), the derivative's
-    spectra when d = 2 (a one-point grid's spectrum is its value), the
-    stored step indices and the blow-up slot, every array cut after it.
+    module docstring) and return the grid values of psi (samples x points)
+    and, when d = 2, of its derivative, row 0 the initial values exactly;
+    then the stored step indices and the blow-up slot, every array cut
+    after it.
 
     The ring holds every row of a materialised run, and :func:`ring_rows` of
     a reduced one, whose rows are read out as the module docstring says.  A
@@ -374,6 +376,9 @@ def _run_field(b, c, initial, dt, n_steps, stride, reduce=None, transform=True):
         _propagate(b, c, ring, dt, n_steps, stride,
                    lambda src, end: end - slots <= done or read_out(src))
         read_out(rows)
+        if reduce is None and transform and d == 2:
+            np.fft.ifft(ring[1, :done], axis=-1, out=ring[1, :done])
+            ring[1, 0] = initial[1]
     if reduce is None:
         return (*ring[:, :done], steps[:done], blow)
     return (np.concatenate(outputs), *[None] * (d - 1), steps[:done], blow)
@@ -384,11 +389,10 @@ def run_field_second_order(psi0, phi0, b, c, dt, n_steps, stride=1, reduce=None)
     A_k = [[0, 1], [b_k, c]].
 
     Returns (psis, phis, steps, blow_slot) as :func:`run_uniform` does,
-    with one row per stored sample: psi's grid values, and phi's spectrum
-    (``np.fft.ifft`` makes its grid values; row 0's are ``phi0``).  With
-    ``reduce``, which maps a stack of psi rows to one entry per row, psis
-    holds its outputs and phis is None (see :func:`_run_field`); the rows
-    it is handed are views of slots that later rows reuse.
+    with one row of grid values per stored sample; row 0 is (psi0, phi0).
+    With ``reduce``, which maps a stack of psi rows to one entry per row,
+    psis holds its outputs and phis is None (see :func:`_run_field`); the
+    rows it is handed are views of slots that later rows reuse.
     """
     return _run_field(b, c, (np.asarray(psi0, dtype=np.complex128),
                              np.asarray(phi0, dtype=np.complex128)),
@@ -398,9 +402,9 @@ def run_field_second_order(psi0, phi0, b, c, dt, n_steps, stride=1, reduce=None)
 def run_field_first_order(psi0, rate, dt, n_steps, stride=1, reduce=None):
     """Step the field psi from psi0, mode k as psi_hat' = rate_k psi_hat.
 
-    Returns (psis, steps, blow_slot) as :func:`run_uniform` does, without
-    the derivative: :func:`first_order_derivative` makes it from the rows
-    and ``rate`` when asked.  The blow-up slot is the first row whose psi
+    Returns (psis, steps, blow_slot) as :func:`run_uniform` does: psi's
+    grid values alone, as the derivative is :func:`first_order_derivative`
+    of the rows and ``rate``.  The blow-up slot is the first row whose psi
     or derivative is bad.  With ``reduce``, psis holds its outputs, as in
     :func:`run_field_second_order`.
     """

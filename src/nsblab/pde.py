@@ -272,7 +272,9 @@ def _mode_coefficients(coeffs: CanonicalCoefficients, lam: np.ndarray) -> tuple:
 
 
 def evolve(problem: PdeProblem, initial: FieldState, reduce=None) -> EvolutionResult:
-    """Run ``problem``'s plan from ``initial``.
+    """Run ``problem``'s plan from ``initial``: the record's ``psi`` and
+    ``dpsi_dt`` are grid values, one row per stored sample, and ``dpsi_dt``
+    is None in the first-order limit, which steps psi alone.
 
     Initial data with content at the plan's unstable modes is refused with
     ValueError unless ``allow_unstable`` is set.  Raises
@@ -282,9 +284,9 @@ def evolve(problem: PdeProblem, initial: FieldState, reduce=None) -> EvolutionRe
 
     With ``reduce``, which maps a stack of psi rows (rows x points) to one
     entry per row, the run is reduced as it is stepped: the record's ``psi``
-    holds ``reduce``'s outputs, one entry per stored row, and it keeps no
-    derivative.  ``reduce`` is handed the rows in time order, up to and
-    including a blow-up's row, as views of a ring of
+    holds ``reduce``'s outputs, one entry per stored row, and its
+    ``dpsi_dt`` is None.  ``reduce`` is handed the rows in time order, up to
+    and including a blow-up's row, as views of a ring of
     :func:`kernels.ring_rows` slots that later rows reuse; whatever it
     raises ends the run.  A plan made with ``kept``, the bytes ``reduce``
     keeps a row, has counted this run; the kernel checks the count again
@@ -311,16 +313,13 @@ def evolve(problem: PdeProblem, initial: FieldState, reduce=None) -> EvolutionRe
             # only copy of a blow-up's last good row
             kept[:] = [*kept, *rows[-2:].copy()][-2:]
             return reduce(rows)
-    psi0 = initial.psi.values
-    rate = dpsis = phi0 = None
+    psi0, dpsis = initial.psi.values, None
     if c is None:
         psis, steps, blow = kernels.run_field_first_order(psi0, b, *plan,
                                                           reduce=keep)
-        rate = None if reduce else b
     else:
-        phi0 = initial.dpsi_dt.values
         psis, dpsis, steps, blow = kernels.run_field_second_order(
-            psi0, phi0, b, c, *plan, reduce=keep)
+            psi0, initial.dpsi_dt.values, b, c, *plan, reduce=keep)
     if blow >= 0:
         t_blow = float(steps[blow]) * problem.dt
         detail = ""
@@ -330,7 +329,7 @@ def evolve(problem: PdeProblem, initial: FieldState, reduce=None) -> EvolutionRe
             k_dom = grid.wavenumbers()[int(np.argmax(spectrum))]
             detail = f"dominant content near k_hat={k_dom:.4g}"
         raise BlowUpError(t_blow, detail)
-    return EvolutionResult(steps.astype(float) * problem.dt, psis, dpsis, rate, phi0)
+    return EvolutionResult(steps.astype(float) * problem.dt, psis, dpsis)
 
 
 def spectral_filter(state: FieldState, k_cut: float) -> FieldState:

