@@ -33,23 +33,23 @@ early.
 Samples are stored every ``stride`` steps, plus the initial and final
 states, in a ring of slots: row i in slot i mod its length.  A materialised
 run's ring holds every row.  A reduced run's holds :func:`ring_rows`,
-``RING_BLOCKS`` capped blocks, so its size is set in grid values, not
-rows: 4 x 2**14 values of each component on grids of 256 to 2**14 points,
-fewer below, four rows above.  Its rows pass through a ``reduce``
-callable, which keeps what the caller needs of them.  When a block would
-overwrite a row not yet read out, every row below the block's source rows
-is read out: psi is transformed back to grid values in place, the row is
-scanned for blow-up, and a reduced run hands it to ``reduce``.  A
-materialised run therefore reads out once, at the end, and a reduced run
-about once per ring's length, up to its first bad row.  The first stored
-sample whose magnitude is non-finite or at or above ``BLOWUP_MAGNITUDE``
-ends the returned arrays; the caller turns that into a blow-up error.  A
-materialised second-order run returns its derivative rows as grid values
-too, made by one inverse FFT in place once the rows are read out.  In the
-first-order limit only psi is stored; its derivative, rate * psi mode by
-mode, is :func:`first_order_derivative` of the rows.  Either derivative
-counts towards the blow-up all the same: a row is formed and checked only
-where a bound on its magnitude cannot clear it.
+``RING_BLOCKS`` capped blocks, so its size is set in grid values, not rows:
+4 x 2**14 values of each component on grids of 256 to 2**14 points, fewer
+below, four rows above.  When a block would overwrite a row not yet read
+out, every row below the block's source rows is read out: psi is
+transformed back to grid values in place, the row is scanned for blow-up by
+its |psi|, and a reduced run hands the rows, the index of the first and
+those magnitudes to its ``reduce`` callable, which keeps what the caller
+needs of them.  A materialised run therefore reads out once, at the end,
+and a reduced run about once per ring's length, up to its first bad row.
+The first stored sample whose magnitude is non-finite or at or above
+``BLOWUP_MAGNITUDE`` ends the returned arrays; the caller turns that into a
+blow-up error.  A materialised second-order run returns its derivative rows
+as grid values too, made by one inverse FFT in place once the rows are read
+out.  In the first-order limit only psi is stored; its derivative, rate *
+psi mode by mode, is :func:`first_order_derivative` of the rows.  Either
+derivative counts towards the blow-up all the same: a row is formed and
+checked only where a bound on its magnitude cannot clear it.
 """
 
 from __future__ import annotations
@@ -280,12 +280,12 @@ def _first_bad_row(ok: np.ndarray, cleared: np.ndarray, derivative) -> int:
     return end if end < len(ok) else -1
 
 
-def _read_rows(rows: np.ndarray, start: int, initial, b, transform=True) -> int:
+def _read_rows(rows: np.ndarray, start: int, initial, b, transform=True) -> tuple:
     """Turn the psi spectra of ``rows`` (components x k x modes), the stored
-    rows from ``start`` on, into grid values in place, and return the index
-    in ``rows`` of the first bad row, else -1 (see :func:`_first_bad_row`).
-    Without ``transform`` the rows are values already: each point is its own
-    one-point grid."""
+    rows from ``start`` on, into grid values in place; return the index in
+    ``rows`` of the first bad row, else -1 (see :func:`_first_bad_row`), and
+    the rows' |psi|.  Without ``transform`` the rows are values already:
+    each point is its own one-point grid."""
     psis = np.fft.ifft(rows[0], axis=-1, out=rows[0]) if transform else rows[0]
     if start == 0:
         psis[0] = initial[0]
@@ -293,15 +293,17 @@ def _read_rows(rows: np.ndarray, start: int, initial, b, transform=True) -> int:
     # rounding, lies below the blow-up magnitude; a NaN clears nothing.
     if len(rows) == 1:
         # |rate psi| <= max|rate| sqrt(n) max|psi| (Cauchy-Schwarz and Parseval)
-        peak = np.abs(psis).max(axis=1)
         bound = 2.0 * float(np.abs(b).max()) * math.sqrt(len(b))
+        magnitudes = np.abs(psis)
+        peak = magnitudes.max(axis=1)
         return _first_bad_row(peak < BLOWUP_MAGNITUDE, bound * peak < BLOWUP_MAGNITUDE,
-                              lambda i: first_order_derivative(psis[i], b))
-    # |phi| <= (1/n) sum |Phi_k| <= max |Phi_k|
-    return _first_bad_row(np.abs(psis).max(axis=1) < BLOWUP_MAGNITUDE,
-                          2.0 * np.abs(rows[1]).max(axis=1) < BLOWUP_MAGNITUDE,
+                              lambda i: first_order_derivative(psis[i], b)), magnitudes
+    # |phi| <= (1/n) sum |Phi_k| <= max |Phi_k|, before |psi| is held
+    cleared = 2.0 * np.abs(rows[1]).max(axis=1) < BLOWUP_MAGNITUDE
+    magnitudes = np.abs(psis)
+    return _first_bad_row(magnitudes.max(axis=1) < BLOWUP_MAGNITUDE, cleared,
                           lambda i: rows[1, i] if not transform
-                          else np.fft.ifft(rows[1, i]) if start + i else initial[1])
+                          else np.fft.ifft(rows[1, i]) if start + i else initial[1]), magnitudes
 
 
 def run_uniform(psi0, phi0, b, c, dt, n_steps, stride=1):
@@ -361,14 +363,15 @@ def _run_field(b, c, initial, dt, n_steps, stride, reduce=None, transform=True):
         while done < stop and blow < 0:
             s = done % slots
             k = min(stop - done, slots - s)
-            bad = _read_rows(ring[:, s:s + k], done, initial, b, transform)
+            bad, magnitudes = _read_rows(ring[:, s:s + k], done, initial, b, transform)
             if bad >= 0:
                 blow, k = done + bad, bad + 1
             if reduce is not None:
-                outputs.append(reduce(ring[0, s:s + k]))
+                outputs.append(reduce(done, ring[0, s:s + k], magnitudes[:k]))
                 if len(outputs) == 1:
                     check_bytes(run_bytes(points, rows, d, outputs[0].nbytes // k),
                                 f"{what}, reduced")
+            magnitudes = None  # freed before the next rows are read out
             done += k
         return blow < 0
 
@@ -390,9 +393,9 @@ def run_field_second_order(psi0, phi0, b, c, dt, n_steps, stride=1, reduce=None)
 
     Returns (psis, phis, steps, blow_slot) as :func:`run_uniform` does,
     with one row of grid values per stored sample; row 0 is (psi0, phi0).
-    With ``reduce``, which maps a stack of psi rows to one entry per row,
-    psis holds its outputs and phis is None (see :func:`_run_field`); the
-    rows it is handed are views of slots that later rows reuse.
+    With ``reduce(start, rows, magnitudes)``, psis holds its entries for the
+    psi rows stored from ``start`` on, views of reused slots, handed with
+    their float64 |psi|, a temporary it may overwrite; phis is None.
     """
     return _run_field(b, c, (np.asarray(psi0, dtype=np.complex128),
                              np.asarray(phi0, dtype=np.complex128)),
@@ -405,8 +408,8 @@ def run_field_first_order(psi0, rate, dt, n_steps, stride=1, reduce=None):
     Returns (psis, steps, blow_slot) as :func:`run_uniform` does: psi's
     grid values alone, as the derivative is :func:`first_order_derivative`
     of the rows and ``rate``.  The blow-up slot is the first row whose psi
-    or derivative is bad.  With ``reduce``, psis holds its outputs, as in
-    :func:`run_field_second_order`.
+    or derivative is bad.  With ``reduce``, called as in
+    :func:`run_field_second_order`, psis holds its outputs.
     """
     return _run_field(rate, None, (np.asarray(psi0, dtype=np.complex128),),
                       float(dt), int(n_steps), int(stride), reduce)

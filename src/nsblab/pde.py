@@ -282,15 +282,16 @@ def evolve(problem: PdeProblem, initial: FieldState, reduce=None) -> EvolutionRe
     wavenumber of the last finite snapshot) if the field leaves the
     representable range.
 
-    With ``reduce``, which maps a stack of psi rows (rows x points) to one
-    entry per row, the run is reduced as it is stepped: the record's ``psi``
-    holds ``reduce``'s outputs, one entry per stored row, and its
-    ``dpsi_dt`` is None.  ``reduce`` is handed the rows in time order, up to
-    and including a blow-up's row, as views of a ring of
-    :func:`kernels.ring_rows` slots that later rows reuse; whatever it
-    raises ends the run.  A plan made with ``kept``, the bytes ``reduce``
-    keeps a row, has counted this run; the kernel checks the count again
-    once the first outputs show what a row keeps.
+    With ``reduce``, the run is reduced as it is stepped: the record's
+    ``psi`` holds ``reduce``'s outputs, one entry per stored row, and its
+    ``dpsi_dt`` is None.  ``reduce(start, rows, magnitudes)`` maps the psi
+    rows (rows x points) stored from index ``start`` on, in time order up
+    to and including a blow-up's row, and their float64 |psi|, a temporary
+    it may overwrite, to one entry a row; the rows are views of a ring of
+    :func:`kernels.ring_rows` slots that later rows reuse, and whatever
+    ``reduce`` raises ends the run.  A plan made with ``kept``, the bytes
+    ``reduce`` keeps a row, has counted this run; the kernel checks the
+    count again once the first outputs show what a row keeps.
     """
     grid = problem.grid
     if initial.grid != grid:
@@ -308,11 +309,11 @@ def evolve(problem: PdeProblem, initial: FieldState, reduce=None) -> EvolutionRe
                               grid.laplacian_eigenvalues(problem.laplacian))
     kept, keep = [], reduce
     if reduce is not None:
-        def keep(rows):
+        def keep(start, rows, magnitudes):
             # the last two rows read out: once the ring has moved on, the
             # only copy of a blow-up's last good row
             kept[:] = [*kept, *rows[-2:].copy()][-2:]
-            return reduce(rows)
+            return reduce(start, rows, magnitudes)
     psi0, dpsis = initial.psi.values, None
     if c is None:
         psis, steps, blow = kernels.run_field_first_order(psi0, b, *plan,
@@ -449,9 +450,9 @@ def field_width(values: np.ndarray, grid: Grid, center: Optional[float] = None,
                 offsets: Optional[np.ndarray] = None) -> ArrayLike:
     """Root-mean-square width of |psi|^2 about ``center`` (default: domain
     middle): a float for one field, an array for a stack of rows (samples x
-    points), reduced a block of :func:`kernels.block_rows` rows at a time.
-    ``offsets``, the :func:`wrapped_offsets` about ``center``, spares a
-    caller that measures many stacks remaking them."""
+    points, real rows read as |psi|), in blocks of :func:`kernels.block_rows`
+    rows.  ``offsets``, the :func:`wrapped_offsets` about ``center``, spares
+    a caller that measures many stacks remaking them."""
     values = np.asarray(values)
     rows = values.reshape(-1, grid.n)
     d = wrapped_offsets(grid, center) if offsets is None else offsets

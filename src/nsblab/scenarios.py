@@ -470,25 +470,26 @@ def _refused(fn, *args, **kwargs):
 # Bytes the fits hold a probe's stored row (phases, temporaries, and a copy
 # of the columns where a run mixes stable and growing probes) beyond its
 # kernel run's count: tracemalloc measured 20 to 48, 1 to 120 probes of 885
-# to 30,614 rows.  Whatever their size, they also fill two of numpy's
-# iterator buffers of np.getbufsize() float64 values, which the per-row
-# count misses by up to 63 kB on small stacks (257 to 1,022 rows of 8 to 32
-# probes).
-_FIT_ROW_BYTES, _FIT_BUFFER_BYTES = 48, 2 * np.getbufsize() * 8
+# to 30,614 rows.
+_FIT_ROW_BYTES = 48
 
 # Bytes a grid point of the temporaries that ``step_plan``'s ``stability_dt``
 # and the manifest's ``growth_rates`` make (the Laplacian eigenvalues, both
-# branches and their magnitudes): tracemalloc measured 80 B a point, plus a
-# few hundred bytes, on 2**12 to 2**20 points.
+# branches and their magnitudes): tracemalloc measured 80 B a point, plus
+# about 1.4 kB, on 2**4 to 2**20 points.
 _GRID_POINT_BYTES = 80
 
 
 def _scan_bytes(probes: int, rows: int, points: int) -> int:
     """Bytes a dispersion_scan run holds at once: one kernel run of ``probes``
-    one-point systems of ``rows`` stored rows, its fits, and the grid-wide
-    temporaries of its step rule and growth rates on ``points`` points."""
-    return (_FIT_BUFFER_BYTES + _GRID_POINT_BYTES * points
-            + run_bytes(probes, rows, 2) + _FIT_ROW_BYTES * probes * rows)
+    one-point systems of ``rows`` stored rows, its fits, the grid-wide
+    temporaries of its step rule and growth rates on ``points`` points, and
+    the numpy iterator buffers, 16 B a value up to np.getbufsize() values,
+    that the fits fill (two of float64) and the grid temporaries (one of
+    complex128, on up to 2**13 points)."""
+    return (16 * (min(np.getbufsize(), probes * rows) + min(np.getbufsize(), points))
+            + _GRID_POINT_BYTES * points + run_bytes(probes, rows, 2)
+            + _FIT_ROW_BYTES * probes * rows)
 
 
 def _run_dispersion_scan(params: dict) -> tuple[list[OutputFile], dict]:
@@ -609,12 +610,11 @@ def _run_regime_compare(params: dict) -> tuple[list[OutputFile], dict]:
         packet_initial = schrodinger_consistent_state(packet_psi, full, lap_mode)
         rows.append([r])
         for initial in (uniform_initial, packet_initial):
-            basis, seen = np.stack((initial.psi.values, initial.dpsi_dt.values)), 0
+            basis = np.stack((initial.psi.values, initial.dpsi_dt.values))
 
-            def distance(stack: np.ndarray) -> np.ndarray:
-                """max |row - p_s psi0 - q_s phi0| of the next rows, a block at a time."""
-                nonlocal seen
-                closed, seen = pq[seen:seen + len(stack)], seen + len(stack)
+            def distance(start: int, stack: np.ndarray, _) -> np.ndarray:
+                """max |row - p_s psi0 - q_s phi0| of rows start.., a block at a time."""
+                closed = pq[start:start + len(stack)]
                 return np.concatenate([
                     np.abs(stack[a:a + block] - closed[a:a + block] @ basis).max(axis=1)
                     for a in range(0, len(stack), block)])
@@ -698,25 +698,23 @@ def _run_pde_packet(params: dict) -> tuple[list[OutputFile], dict]:
     _refused(check_bytes, _packet_bytes(plan.n_bytes, rows),
              f"{rows} stored rows of {grid.n} points and their widths")
     offsets = wrapped_offsets(grid)
-    seen, last = 0, None
+    last = None
 
-    def widths(block: np.ndarray) -> np.ndarray:
-        """The widths of the next rows, handed in time order; a copy of the
-        last row is kept for the profile."""
-        nonlocal seen, last
+    def widths(start: int, block: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
+        """The widths of the rows from ``start`` on, handed in time order
+        with their |psi|; a copy of the last row is kept for the profile."""
+        nonlocal last
         try:
-            out = field_width(block, grid, offsets=offsets)
+            out = field_width(magnitudes, grid, offsets=offsets)
         except ValueError:  # a row with no mass: RK4's damping can underflow it
-            mass = np.abs(block)
-            mass *= mass
-            empty = np.flatnonzero(mass.sum(axis=1) == 0.0)
+            magnitudes *= magnitudes
+            empty = np.flatnonzero(magnitudes.sum(axis=1) == 0.0)
             if not empty.size:
                 raise
             # raised here, as a runtime error: the run is not a refused input
-            step = min((seen + int(empty[0])) * plan.snapshot_stride, plan.n_steps)
+            step = min((start + int(empty[0])) * plan.snapshot_stride, plan.n_steps)
             raise UnderflowError(float(step) * plan.dt) from None
-        seen += len(block)
-        if seen == rows:
+        if start + len(block) == rows:
             last = block[-1].copy()
         return out
 
@@ -857,8 +855,6 @@ def run_scenario(scenario: str, params: Optional[dict] = None,
     }
     # Written aside and renamed, so a manifest is either whole or absent.
     tmp_path = out_path / "manifest.json.tmp"
-    with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    tmp_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8", newline="\n")
     os.replace(tmp_path, manifest_path)
     return manifest

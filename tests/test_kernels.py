@@ -447,8 +447,20 @@ def test_reduced_run_equals_the_materialised_run(order, n, dx, r, v, stride, n_s
     else:
         args = (psi, b, dt, n_steps, stride)
         run = kernels.run_field_first_order
+    handed = []
+
+    def reduce(start, rows, magnitudes):
+        # each call starts where the last ended and is handed the rows' |psi|,
+        # a temporary the run does not read again
+        assert start == sum(handed)
+        assert magnitudes.tobytes() == np.abs(rows).tobytes()
+        handed.append(len(rows))
+        magnitudes[...] = np.nan
+        return rows.copy()
+
     whole = run(*args)
-    reduced = run(*args, reduce=lambda rows: rows.copy())
+    reduced = run(*args, reduce=reduce)
+    assert sum(handed) == len(reduced[0])
     assert whole[0].shape == reduced[0].shape
     assert whole[0].tobytes() == reduced[0].tobytes()
     assert np.array_equal(whole[-2], reduced[-2])
@@ -465,12 +477,12 @@ def test_reduced_run_counts_what_reduce_keeps():
     need = kernels.run_bytes(N, 1001, 1, kept=16)
     assert need == kernels.ring_rows(N) * 24 * N + 1001 * (24 + 32) + 120 * N
     psis, steps, blow = kernels.run_field_first_order(
-        psi, rate, 0.01, 1000, reduce=lambda rows: rows[:, 0].copy())
+        psi, rate, 0.01, 1000, reduce=lambda start, rows, _: rows[:, 0].copy())
     assert blow == -1 and psis.shape == steps.shape == (1001,)
     with pytest.raises(ValueError, match="reduced"):
         kernels.run_field_first_order(
             psi, rate, 0.01, 1000,
-            reduce=lambda rows: np.broadcast_to(0j, (len(rows), 2**20)))
+            reduce=lambda start, rows, _: np.broadcast_to(0j, (len(rows), 2**20)))
 
 
 def test_field_kernel_shapes_and_steps():

@@ -543,7 +543,7 @@ def test_blow_up_reports_time_and_mode():
         # the ring has wrapped, and reports the same
         assert info.value.time / dt >= kernels.ring_rows(g.n) - kernels.block_rows(g.n)
         with pytest.raises(BlowUpError) as reduced:
-            evolve(prob, state, reduce=lambda rows: rows[:, 0].copy())
+            evolve(prob, state, reduce=lambda start, rows, _: rows[:, 0].copy())
         assert str(reduced.value) == str(info.value)
 
 
@@ -556,7 +556,7 @@ def test_reduced_evolution_keeps_what_reduce_returns(a_tt):
     prob = PdeProblem(coeffs, g, t_end=15.0, dt=0.05, snapshot_stride=1,
                       laplacian="spectral")
     whole = evolve(prob, state)
-    reduced = evolve(prob, state, reduce=lambda rows: rows.copy())
+    reduced = evolve(prob, state, reduce=lambda start, rows, _: rows.copy())
     assert len(whole.times) > kernels.ring_rows(g.n)
     assert np.array_equal(reduced.times, whole.times)
     assert np.array_equal(reduced.psi, whole.psi)

@@ -565,8 +565,10 @@ def test_dispersion_scan_allocates_within_its_count(tmp_path):
     # which outweigh the run's magnitudes on the first case's 1,022 rows.  The
     # fourth case is a 112,246-row probe, which the grid run's plan refused
     # (1.15e9 B counted).  The scan's grid arrays are the step rule's and the
-    # growth rates' temporaries, which outweigh the probes' rows on the last
-    # case's 65,536 points.
+    # growth rates' temporaries, which outweigh the probes' rows on the fifth
+    # case's 65,536 points.  The defaults' 229 rows of four probes, and one
+    # probe's, fill less than the iterator buffers hold; so do the last
+    # case's 63 rows, where the grid temporaries' buffer decides the peak.
     run_scenario("dispersion_scan", out_dir=tmp_path)  # imports numpy.fft
     stencil = {"n": 256, "L": 1024.0, "laplacian": "stencil"}
     needs = []
@@ -575,7 +577,10 @@ def test_dispersion_scan_allocates_within_its_count(tmp_path):
             ({**stencil, "horizon_tau": 8000.0}, (17, 90), 8164),
             ({**stencil, "horizon_tau": 8000.0}, range(5, 128, 8), 8164),
             ({**stencil, "horizon_tau": 110000.0, "k_values": [0.1]}, None, 112245),
-            ({"n": 65536, "L": 32768.0}, None, 184)):
+            ({"n": 65536, "L": 32768.0}, None, 184),
+            ({}, None, 228),
+            ({"k_values": [0.125]}, None, 228),
+            ({**stencil, "horizon_tau": 60.0}, (3,), 62)):
         if modes is not None:
             overrides["k_values"] = [2.0 * math.pi * j / 1024.0 for j in modes]
         params = resolve_config("dispersion_scan", {}, overrides)
@@ -770,9 +775,9 @@ def test_packet_profile_keeps_no_snapshot_alive(tmp_path, monkeypatch):
     real_evolve, real_write_csv = scenarios.evolve, scenarios.write_csv
 
     def keep_result(plan, initial, reduce=None):
-        def watched(rows):
+        def watched(start, rows, magnitudes):
             rings.append(weakref.ref(rows.base))
-            return reduce(rows)
+            return reduce(start, rows, magnitudes)
 
         runs.append((plan, initial, real_evolve(plan, initial, reduce=watched)))
         return runs[-1][2]
@@ -1263,9 +1268,12 @@ def _fed_packet_run(tmp_path, monkeypatch, capsys, blocks):
     ``blocks`` (functions of the grid size) to the scenario's reduce in time
     order, as the kernel does, and then reports a blow-up at t_hat=99."""
     def fed(plan, initial, reduce=None):
+        start = 0
         with np.errstate(all="ignore"):  # as in the kernel's run
-            for block in blocks:
-                reduce(block(plan.grid.n))
+            for make in blocks:
+                block = make(plan.grid.n)
+                reduce(start, block, np.abs(block))
+                start += len(block)
         raise BlowUpError(99.0)
 
     monkeypatch.setattr(scenarios, "evolve", fed)
